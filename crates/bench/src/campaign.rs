@@ -4,7 +4,9 @@
 //! city with a *single* shared [`SweepCache`] installed for the whole
 //! grid — the sweep engine adopts an already-installed cache, so the
 //! host-audio/payload/front-end work one figure derives is served to
-//! every later figure and city. City-invariant figures (anything
+//! every later figure and city, and so is each pure derivation of the
+//! network tier (packet model, link-table calibration) that goes
+//! through [`SweepCache::derive`]. City-invariant figures (anything
 //! without an [`ExperimentSpec::city`] builder) are built once and
 //! their digests reused across cities.
 //!
@@ -245,13 +247,15 @@ pub fn summary_table(run: &CampaignRun) -> String {
     }
     let cache = &run.cache;
     out.push_str(&format!(
-        "shared cache: host {}/{} payload {}/{} front-end {}/{} (hits/misses)\n",
+        "shared cache: host {}/{} payload {}/{} front-end {}/{} derived {}/{} (hits/misses)\n",
         cache.host_hits,
         cache.host_misses,
         cache.payload_hits,
         cache.payload_misses,
         cache.front_end_hits,
         cache.front_end_misses,
+        cache.derived_hits,
+        cache.derived_misses,
     ));
     out
 }
@@ -327,6 +331,48 @@ mod tests {
             combined.cache.host_misses,
             a.cache.host_misses,
             b.cache.host_misses,
+        );
+    }
+
+    // The derivation memo computes each distinct key exactly once over a
+    // campaign: every miss is one derivation actually run (a
+    // `packet_model` or `ber_calibrate` stage, which only the computing
+    // path records), the seven city figures share one frame length and
+    // one quick link-table spec, and every other request is a hit.
+    #[test]
+    fn campaign_computes_each_derivation_key_once() {
+        let cities = corpus_cities();
+        let specs: Vec<&ExperimentSpec> = experiments::REGISTRY
+            .iter()
+            .filter(|s| s.city.is_some())
+            .collect();
+        assert_eq!(specs.len(), 7);
+        let collector = fmbs_obs::Collector::new();
+        let run = {
+            let _obs = fmbs_obs::install(Some(collector.clone()));
+            run_campaign(Grid::Quick, &cities[..1], &specs, |_| {})
+        };
+        let calls = |stage: &str| {
+            collector
+                .stage_stats()
+                .iter()
+                .find(|(name, _)| *name == stage)
+                .map_or(0, |(_, s)| s.calls as usize)
+        };
+        let packet_models = calls(fmbs_obs::stages::PACKET_MODEL);
+        let tables = calls(fmbs_obs::stages::BER_CALIBRATE);
+        let cache = run.cache;
+        assert_eq!(cache.derived_misses, packet_models + tables, "{cache:?}");
+        assert_eq!(packet_models, 1, "one distinct (packet_bits, coding) key");
+        assert_eq!(tables, 1, "one distinct link-table spec");
+        assert!(cache.derived_hits > 0, "{cache:?}");
+        assert_eq!(
+            collector.counter_value("cache.derived_misses") as usize,
+            cache.derived_misses
+        );
+        assert_eq!(
+            collector.counter_value("cache.derived_hits") as usize,
+            cache.derived_hits
         );
     }
 

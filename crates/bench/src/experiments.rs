@@ -21,8 +21,9 @@ use fmbs_core::modem::Bitrate;
 use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::metric::{Ber, BerMrc, CoopPesq, Metric, Pesq, ToneSnr};
 use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Scenario, Workload};
-use fmbs_core::sim::sweep::{SweepBuilder, SweepResults};
+use fmbs_core::sim::sweep::{default_workers, par_map, SweepBuilder, SweepResults};
 use fmbs_core::sim::Tier;
+use fmbs_dsp::stats::Cdf;
 use fmbs_net::prelude::{
     ArqConfig, BerTable, BerTableSpec, CityScenario, Deployment, FaultKind, FaultSpec,
     NetCollisionRate, NetGoodput, NetSpec, Receiver, Station,
@@ -176,6 +177,24 @@ pub fn fig4b(_grid: Grid) -> Experiment {
     }
 }
 
+/// Fig. 5's base programme seed.
+const FIG5_SEED: u64 = 17;
+
+/// Fig. 5's per-genre sample sets, `windows` per genre (genre order of
+/// [`ProgramKind::BROADCAST_GENRES`], windows in index order). Every
+/// `(genre, window)` job is independent, so all of them run on the
+/// sweep engine's worker pool.
+fn fig5_samples(windows: usize, workers: usize) -> Vec<Vec<f64>> {
+    let jobs: Vec<(ProgramKind, usize)> = ProgramKind::BROADCAST_GENRES
+        .iter()
+        .flat_map(|&kind| (0..windows).map(move |w| (kind, w)))
+        .collect();
+    let samples = par_map(&jobs, workers, |&(kind, w)| {
+        stereo_util::stereo_utilisation_window(kind, w, stereo_util::FIG5_WINDOW_S, FIG5_SEED)
+    });
+    samples.chunks(windows).map(<[f64]>::to_vec).collect()
+}
+
 /// Fig. 5 — CDF of stereo-band power over guard-band power, per genre.
 pub fn fig5(grid: Grid) -> Experiment {
     let windows = match grid {
@@ -184,10 +203,8 @@ pub fn fig5(grid: Grid) -> Experiment {
     };
     let series = ProgramKind::BROADCAST_GENRES
         .iter()
-        .map(|kind| {
-            let cdf = stereo_util::stereo_utilisation_cdf(*kind, windows, 17);
-            Series::new(kind.label(), cdf.points())
-        })
+        .zip(fig5_samples(windows, default_workers()))
+        .map(|(kind, samples)| Series::new(kind.label(), Cdf::from_samples(&samples).points()))
         .collect();
     Experiment {
         id: "fig5".into(),
@@ -2974,6 +2991,27 @@ mod tests {
         let e = fig2a(Grid::Quick);
         assert_eq!(e.series.len(), 1);
         assert!(e.series[0].points.len() >= 10);
+    }
+
+    // fig5 fans its (genre, window) jobs out over the worker pool and
+    // regroups them; every genre's samples must equal the serial
+    // reference bit for bit, in window order. Two windows a genre keep
+    // the test quick while still splitting genres across workers.
+    #[test]
+    fn fig5_parallel_matches_serial_bit_for_bit() {
+        let windows = 2;
+        let parallel = fig5_samples(windows, 4);
+        assert_eq!(parallel.len(), ProgramKind::BROADCAST_GENRES.len());
+        for (kind, got) in ProgramKind::BROADCAST_GENRES.iter().zip(&parallel) {
+            let serial = stereo_util::stereo_utilisation_samples(
+                *kind,
+                windows,
+                stereo_util::FIG5_WINDOW_S,
+                FIG5_SEED,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&serial), "{kind:?}");
+        }
     }
 
     #[test]

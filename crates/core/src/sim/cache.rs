@@ -17,7 +17,19 @@
 //!   Power scaling, fading and noise are per-point (geometry, seed) and
 //!   applied downstream, so a power×distance grid modulates its host
 //!   station once per programme realisation instead of once per point —
-//!   what makes physical-tier sweeps tractable.
+//!   what makes physical-tier sweeps tractable;
+//! * **pure derivations of the layers above** through the generic
+//!   [`SweepCache::derive`] memo, keyed by each derivation's exact
+//!   inputs. Two kinds use it, both from `fmbs-net`: the FEC packet
+//!   model (`PacketModel::for_frame`, keyed by `(packet_bits, coding)`)
+//!   and the calibrated link table (`BerTable::calibrate`, keyed by the
+//!   simulator's name and every `BerTableSpec` field). They cost
+//!   seconds, depend on nothing else, and recur across every figure
+//!   and city of a campaign. The memo lives exactly as long as the
+//!   installed cache: a sweep run on its own derives them once per
+//!   sweep, a `repro --campaign` run once per campaign, and code that
+//!   installs no cache (metro set-up, `repro --perf`) computes them on
+//!   every call, as before.
 //!
 //! The cache is **semantically invisible**: keys capture every input of
 //! the derivation, values are exactly what the uncached path computes,
@@ -39,10 +51,12 @@ use fmbs_audio::program::ProgramKind;
 use fmbs_dsp::complex::Complex;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Host-audio cache key: every input of the
 /// [`Scenario::host_audio_uncached`] derivation.
@@ -161,16 +175,16 @@ const FRONT_END_MAX_SAMPLES: usize = 64_000_000; // ~1 GB at 16 B/sample
 
 /// Schema version written by [`CacheStats::to_value`]. Version 1 (the
 /// implicit pre-versioned schema) lacked the `version` and
-/// `front_end_*` fields; version 2 carries every counter the cache
-/// keeps, physical front end included.
-pub const CACHE_STATS_VERSION: u32 = 2;
+/// `front_end_*` fields; version 2 added the physical front end;
+/// version 3 carries the `derived_*` memo counters too.
+pub const CACHE_STATS_VERSION: u32 = 3;
 
 /// Hit/miss counters of one sweep's cache, reported in
 /// [`super::sweep::SweepResults`].
 ///
 /// Serialization is hand-written (the vendored serde derive has no
 /// field defaults): committed perf records embed this struct, and the
-/// series predates the `version` and `front_end_*` fields, so
+/// series predates the `version`, `front_end_*` and `derived_*` fields, so
 /// deserialization defaults anything missing instead of erroring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
@@ -189,6 +203,11 @@ pub struct CacheStats {
     pub front_end_hits: usize,
     /// Physical-tier RF front-end derivations computed (then inserted).
     pub front_end_misses: usize,
+    /// [`SweepCache::derive`] lookups served from the memo (a lookup
+    /// that waited for another thread's computation counts here).
+    pub derived_hits: usize,
+    /// [`SweepCache::derive`] computations — one per distinct key.
+    pub derived_misses: usize,
 }
 
 impl Default for CacheStats {
@@ -201,6 +220,8 @@ impl Default for CacheStats {
             payload_misses: 0,
             front_end_hits: 0,
             front_end_misses: 0,
+            derived_hits: 0,
+            derived_misses: 0,
         }
     }
 }
@@ -208,12 +229,12 @@ impl Default for CacheStats {
 impl CacheStats {
     /// Total lookups served from the cache.
     pub fn hits(&self) -> usize {
-        self.host_hits + self.payload_hits + self.front_end_hits
+        self.host_hits + self.payload_hits + self.front_end_hits + self.derived_hits
     }
 
     /// Total lookups that had to compute.
     pub fn misses(&self) -> usize {
-        self.host_misses + self.payload_misses + self.front_end_misses
+        self.host_misses + self.payload_misses + self.front_end_misses + self.derived_misses
     }
 }
 
@@ -236,15 +257,20 @@ impl Serialize for CacheStats {
                 "front_end_misses".into(),
                 Value::U64(self.front_end_misses as u64),
             ),
+            ("derived_hits".into(), Value::U64(self.derived_hits as u64)),
+            (
+                "derived_misses".into(),
+                Value::U64(self.derived_misses as u64),
+            ),
         ])
     }
 }
 
 impl Deserialize for CacheStats {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        // Absent fields default rather than error so version-1 records
-        // (committed before the front-end counters were serialized)
-        // stay parseable.
+        // Absent fields default rather than error so records of earlier
+        // versions (committed before the front-end or derived counters
+        // were serialized) stay parseable.
         fn field<T: Deserialize + Default>(v: &Value, name: &str) -> Result<T, serde::Error> {
             match v.get_field(name) {
                 Ok(f) => T::from_value(f),
@@ -262,12 +288,31 @@ impl Deserialize for CacheStats {
             payload_misses: field(v, "payload_misses")?,
             front_end_hits: field(v, "front_end_hits")?,
             front_end_misses: field(v, "front_end_misses")?,
+            derived_hits: field(v, "derived_hits")?,
+            derived_misses: field(v, "derived_misses")?,
         })
     }
 }
 
 /// A cached `(mono, L−R)` host-audio derivation.
 type HostAudio = Arc<(Vec<f64>, Vec<f64>)>;
+
+/// One derivation kind's memo: each key owns a cell that the first
+/// caller fills while later callers wait on it, so a key is computed
+/// exactly once even when workers ask for it at the same time.
+type DerivedMap<K, V> = HashMap<K, Arc<OnceLock<V>>>;
+
+/// The [`SweepCache::derive`] store: one [`DerivedMap`] per
+/// `(key, value)` type pair, type-erased because the derivations belong
+/// to crates this one cannot name.
+#[derive(Default)]
+struct DerivedStore(HashMap<TypeId, Box<dyn Any + Send + Sync>>);
+
+impl std::fmt::Debug for DerivedStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DerivedStore({} kinds)", self.0.len())
+    }
+}
 
 /// A sweep-scoped content-addressed cache (see the module docs).
 #[derive(Debug, Default)]
@@ -286,6 +331,9 @@ pub struct SweepCache {
     payload_misses: AtomicUsize,
     front_end_hits: AtomicUsize,
     front_end_misses: AtomicUsize,
+    derived: Mutex<DerivedStore>,
+    derived_hits: AtomicUsize,
+    derived_misses: AtomicUsize,
 }
 
 impl SweepCache {
@@ -305,7 +353,47 @@ impl SweepCache {
             payload_misses: self.payload_misses.load(Ordering::Relaxed),
             front_end_hits: self.front_end_hits.load(Ordering::Relaxed),
             front_end_misses: self.front_end_misses.load(Ordering::Relaxed),
+            derived_hits: self.derived_hits.load(Ordering::Relaxed),
+            derived_misses: self.derived_misses.load(Ordering::Relaxed),
         }
+    }
+
+    /// A pure derivation, memoised behind `key`. `key` must hold every
+    /// input of `compute` (`f64`s by bit pattern, as the keys above);
+    /// its type names the derivation kind, so kinds never share
+    /// entries. The first caller of a key runs `compute` outside the
+    /// store's lock; callers of the same key on other threads wait for
+    /// that value instead of computing it again.
+    pub fn derive<K, V>(&self, key: K, compute: impl FnOnce() -> V) -> V
+    where
+        K: Hash + Eq + Send + Sync + 'static,
+        V: Clone + Send + Sync + 'static,
+    {
+        let cell = {
+            let mut store = self.derived.lock();
+            let map = store
+                .0
+                .entry(TypeId::of::<DerivedMap<K, V>>())
+                .or_insert_with(|| Box::new(DerivedMap::<K, V>::new()))
+                .downcast_mut::<DerivedMap<K, V>>()
+                .expect("each derived map is stored under its own type");
+            map.entry(key).or_default().clone()
+        };
+        let mut computed = false;
+        let value = cell
+            .get_or_init(|| {
+                computed = true;
+                compute()
+            })
+            .clone();
+        if computed {
+            self.derived_misses.fetch_add(1, Ordering::Relaxed);
+            fmbs_obs::counter!("cache.derived_misses");
+        } else {
+            self.derived_hits.fetch_add(1, Ordering::Relaxed);
+            fmbs_obs::counter!("cache.derived_hits");
+        }
+        value
     }
 
     /// The [`Scenario::host_audio`] derivation, memoised.
@@ -401,6 +489,19 @@ pub fn active() -> Option<Arc<SweepCache>> {
     ACTIVE.with(|a| a.borrow().clone())
 }
 
+/// `compute`, memoised in this thread's active cache under `key` (see
+/// [`SweepCache::derive`]); with no cache installed it simply runs.
+pub fn derive<K, V>(key: K, compute: impl FnOnce() -> V) -> V
+where
+    K: Hash + Eq + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    match active() {
+        Some(cache) => cache.derive(key, compute),
+        None => compute(),
+    }
+}
+
 /// Installs `cache` as this thread's active cache until the returned
 /// guard drops (restoring whatever was active before — nested sweeps
 /// each see their own cache).
@@ -418,5 +519,123 @@ impl Drop for ActiveCacheGuard {
     fn drop(&mut self) {
         let prev = self.prev.take();
         ACTIVE.with(|a| *a.borrow_mut() = prev);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[derive(Debug, PartialEq, Eq, Hash)]
+    struct KeyA(u64);
+    #[derive(Debug, PartialEq, Eq, Hash)]
+    struct KeyB(u64);
+
+    #[test]
+    fn derive_computes_each_key_once_and_keeps_kinds_apart() {
+        let cache = SweepCache::new();
+        let runs = AtomicUsize::new(0);
+        let square = |x: u64| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            x * x
+        };
+        assert_eq!(cache.derive(KeyA(3), || square(3)), 9);
+        assert_eq!(cache.derive(KeyA(3), || square(3)), 9);
+        assert_eq!(cache.derive(KeyA(4), || square(4)), 16);
+        // Same key value, different kind: its own entry.
+        assert_eq!(cache.derive(KeyB(3), || square(3) + 1), 10);
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
+        let stats = cache.stats();
+        assert_eq!((stats.derived_hits, stats.derived_misses), (1, 3));
+        assert_eq!(stats.hits(), 1);
+        assert_eq!(stats.misses(), 3);
+    }
+
+    // Workers asking for a key while its first caller is still
+    // computing it: they wait for that value and count as hits, so
+    // misses equal distinct keys under any schedule. The computation
+    // holds until every other worker is about to ask.
+    #[test]
+    fn concurrent_derive_of_one_key_computes_once() {
+        let cache = SweepCache::new();
+        let runs = AtomicUsize::new(0);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (asking_tx, asking_rx) = std::sync::mpsc::channel();
+        let values = std::thread::scope(|scope| {
+            let (cache, runs) = (&cache, &runs);
+            let first = scope.spawn(move || {
+                cache.derive(KeyA(7), || {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    started_tx.send(()).expect("test thread listening");
+                    for _ in 0..3 {
+                        asking_rx.recv().expect("every waiter announces itself");
+                    }
+                    49u64
+                })
+            });
+            started_rx.recv().expect("first caller computes");
+            let waiters: Vec<_> = (0..3)
+                .map(|_| {
+                    let asking_tx = asking_tx.clone();
+                    scope.spawn(move || {
+                        asking_tx.send(()).expect("computation listening");
+                        cache.derive(KeyA(7), || -> u64 { panic!("key computed twice") })
+                    })
+                })
+                .collect();
+            std::iter::once(first)
+                .chain(waiters)
+                .map(|h| h.join().expect("worker finished"))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(values, [49; 4]);
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.derived_hits, stats.derived_misses), (3, 1));
+    }
+
+    #[test]
+    fn module_derive_memoises_only_under_an_installed_cache() {
+        let runs = AtomicUsize::new(0);
+        let run = || {
+            derive(KeyA(1), || runs.fetch_add(1, Ordering::Relaxed));
+        };
+        run();
+        run();
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            2,
+            "no cache: every call computes"
+        );
+        let cache = SweepCache::new();
+        let _guard = install(Some(cache.clone()));
+        run();
+        run();
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
+        assert_eq!(cache.stats().derived_misses, 1);
+    }
+
+    #[test]
+    fn version_2_records_parse_with_zero_derived_counters() {
+        let v2 = serde_json::from_str::<Value>(concat!(
+            r#"{"version":2,"host_hits":4,"host_misses":1,"payload_hits":4,"#,
+            r#""payload_misses":1,"front_end_hits":2,"front_end_misses":1}"#,
+        ))
+        .unwrap();
+        let stats = CacheStats::from_value(&v2).unwrap();
+        assert_eq!(stats.version, 2);
+        assert_eq!(stats.front_end_hits, 2);
+        assert_eq!((stats.derived_hits, stats.derived_misses), (0, 0));
+        let current = CacheStats {
+            derived_hits: 5,
+            derived_misses: 2,
+            ..CacheStats::default()
+        };
+        assert_eq!(
+            CacheStats::from_value(&current.to_value()).unwrap(),
+            current
+        );
+        assert_eq!(current.version, CACHE_STATS_VERSION);
     }
 }

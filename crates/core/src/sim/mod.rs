@@ -16,11 +16,10 @@
 //!   scenario grid executed by parallel workers with deterministic
 //!   per-point seeding.
 //! * [`cache`] — the sweep engine's content-addressed cache: host-audio
-//!   and payload derivations are memoised behind their exact derivation
-//!   inputs and shared across worker threads, so grid points stop
-//!   regenerating identical programmes and waveforms.
-//! * [`stream`] — a bounded producer/consumer pipeline for running large
-//!   parameter sweeps with constant memory.
+//!   and payload derivations (and, through its generic memo, the pure
+//!   derivations of the layers above) are memoised behind their exact
+//!   derivation inputs and shared across worker threads, so grid points
+//!   stop regenerating identical programmes and waveforms.
 //!
 //! Both tiers implement [`Simulator`], the seam everything above the
 //! simulators is built on: a scenario fully describes an experiment
@@ -55,7 +54,6 @@ pub mod fast;
 pub mod metric;
 pub mod physical;
 pub mod scenario;
-pub mod stream;
 pub mod sweep;
 
 use fmbs_channel::backscatter_link::LinkBudget;

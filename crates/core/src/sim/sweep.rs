@@ -5,19 +5,18 @@
 //! distance, bit rate, programme, motion, receiver, tag, tone frequency,
 //! `f_back`, MRC depth, MAC slot count, tag count, arrival model,
 //! offered load, application profile} × repetitions. [`SweepBuilder`] declares those axes; `run` expands
-//! the grid and executes it on N scoped worker threads (generalising the
-//! bounded two-stage pipeline in [`super::stream`] to an N-worker
-//! engine), with **deterministic per-point seeding**: each point's seed
-//! is a hash of the base seed and the point's grid coordinates, so the
-//! results are bit-identical whether the grid runs serially, in
-//! parallel, or in any scheduling order.
+//! the grid and executes it on N scoped worker threads ([`par_map`], the
+//! one worker pool other independent jobs such as Fig. 5's programme
+//! windows also run on), with **deterministic per-point seeding**: each
+//! point's seed is a hash of the base seed and the point's grid
+//! coordinates, so the results are bit-identical whether the grid runs
+//! serially, in parallel, or in any scheduling order.
 
-use super::cache::{self, CacheStats, SweepCache};
+use super::cache::{self, CacheStats};
 use super::metric::Metric;
 use super::scenario::Scenario;
 use super::{Simulator, Tier};
 use crate::modem::Bitrate;
-use crossbeam::channel;
 use fmbs_audio::program::ProgramKind;
 use fmbs_channel::fading::MotionProfile;
 use fmbs_channel::units::Dbm;
@@ -552,26 +551,7 @@ impl SweepBuilder {
     /// Executes the sweep on one thread (reference implementation; the
     /// parallel engine must match it bit for bit).
     pub fn run_serial(&self, sim: &dyn Simulator, metric: &dyn Metric) -> SweepResults {
-        let points = self.points();
-        // Adopt a cache already installed on this thread (a campaign
-        // run shares one across figures); otherwise make a fresh one.
-        let shared = self.cache.then(|| cache::active().unwrap_or_default());
-        let _guard = cache::install(shared.clone());
-        let points = points
-            .iter()
-            .map(|p| SweepValue {
-                scenario: p.scenario,
-                coords: p.coords,
-                value: {
-                    fmbs_obs::span!(fmbs_obs::stages::SWEEP_POINT);
-                    metric.evaluate(sim, &p.scenario)
-                },
-            })
-            .collect();
-        SweepResults {
-            points,
-            cache: shared.map(|c| c.stats()).unwrap_or_default(),
-        }
+        self.execute(sim, metric, 1)
     }
 
     /// Executes the sweep on a named simulation tier — the pluggable-tier
@@ -581,93 +561,116 @@ impl SweepBuilder {
         self.run(tier.simulator(), metric)
     }
 
-    /// Executes the sweep in parallel over scoped worker threads.
+    /// Executes the sweep in parallel on the [`par_map`] worker pool.
     ///
-    /// Workers claim points from a shared cursor and evaluate them
-    /// independently; because every point's scenario (seed included) is
-    /// fixed at expansion time, the result is identical to
-    /// [`Self::run_serial`] regardless of scheduling.
+    /// Because every point's scenario (seed included) is fixed at
+    /// expansion time, the result is identical to [`Self::run_serial`]
+    /// regardless of scheduling.
     pub fn run(&self, sim: &dyn Simulator, metric: &dyn Metric) -> SweepResults {
+        self.execute(sim, metric, self.threads.unwrap_or_else(default_workers))
+    }
+
+    fn execute(&self, sim: &dyn Simulator, metric: &dyn Metric, workers: usize) -> SweepResults {
         let points = self.points();
         if points.is_empty() {
             return SweepResults::default();
         }
-        let workers = self
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .min(points.len());
-        if workers <= 1 {
-            return self.run_serial(sim, metric);
-        }
-
-        // As in `run_serial`: adopt the calling thread's installed
-        // cache if there is one, so campaign figures share hits.
-        let shared: Option<Arc<SweepCache>> =
-            self.cache.then(|| cache::active().unwrap_or_default());
-        // Each worker profiles into its own child collector (timings and
-        // counters only — no RNG is touched), merged back in worker
-        // order after the scope so the aggregate is schedule-independent.
-        let obs_parent = fmbs_obs::active();
-        let obs_children: Vec<Option<Arc<fmbs_obs::Collector>>> = (0..workers)
-            .map(|w| obs_parent.as_ref().map(|p| p.child(w as u32)))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = channel::bounded::<(usize, f64)>(points.len());
-        let mut values: Vec<Option<f64>> = vec![None; points.len()];
-        std::thread::scope(|scope| {
-            for obs in obs_children.iter().take(workers) {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let points = &points;
-                let shared = shared.clone();
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    // Every worker reads through the one shared cache;
-                    // the guard keeps the install scoped to this worker.
-                    let _guard = cache::install(shared);
-                    let _obs_guard = fmbs_obs::install(obs);
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(p) = points.get(i) else { break };
-                        let value = {
-                            fmbs_obs::span!(fmbs_obs::stages::SWEEP_POINT);
-                            metric.evaluate(sim, &p.scenario)
-                        };
-                        if tx.send((i, value)).is_err() {
-                            break; // collector gone
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Collect on this thread while workers run.
-            for (i, v) in rx.iter() {
-                values[i] = Some(v);
-            }
+        // Adopt a cache already installed on this thread (a campaign
+        // run shares one across figures); otherwise make a fresh one.
+        // Installed here, it is the caller's cache every worker reads.
+        let shared = self.cache.then(|| cache::active().unwrap_or_default());
+        let _guard = cache::install(shared.clone());
+        let values = par_map(&points, workers, |p| {
+            fmbs_obs::span!(fmbs_obs::stages::SWEEP_POINT);
+            metric.evaluate(sim, &p.scenario)
         });
-        if let Some(parent) = obs_parent {
-            for child in obs_children.into_iter().flatten() {
-                parent.absorb(&child);
-            }
-        }
-
         SweepResults {
             points: points
                 .iter()
                 .zip(values)
-                .map(|(p, v)| SweepValue {
+                .map(|(p, value)| SweepValue {
                     scenario: p.scenario,
                     coords: p.coords,
-                    value: v.expect("every sweep point evaluated"),
+                    value,
                 })
                 .collect(),
             cache: shared.map(|c| c.stats()).unwrap_or_default(),
         }
     }
+}
+
+/// The default worker count: the host's available parallelism.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Maps `f` over `items` on up to `workers` scoped threads and returns
+/// the results in item order — the engine's one worker pool.
+///
+/// Workers claim items from a shared cursor. Each installs the calling
+/// thread's [`cache::SweepCache`] (so derivations deep inside `f` share it)
+/// and profiles into its own child of the calling thread's obs
+/// collector; the children merge back in worker order after the pool
+/// drains, so the aggregate does not depend on scheduling. With one
+/// worker (or one item) `f` runs on the calling thread. `f` must be
+/// deterministic in its item for the output to be too.
+pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let shared = cache::active();
+    let obs_parent = fmbs_obs::active();
+    let obs_children: Vec<Option<Arc<fmbs_obs::Collector>>> = (0..workers)
+        .map(|w| obs_parent.as_ref().map(|p| p.child(w as u32)))
+        .collect();
+    let cursor = AtomicUsize::new(0);
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = obs_children
+            .iter()
+            .map(|obs| {
+                let (cursor, f, shared, obs) = (&cursor, &f, shared.clone(), obs.clone());
+                scope.spawn(move || {
+                    let _guard = cache::install(shared);
+                    let _obs_guard = fmbs_obs::install(obs);
+                    let mut out = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        out.push((i, f(item)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    if let Some(parent) = obs_parent {
+        for child in obs_children.into_iter().flatten() {
+            parent.absorb(&child);
+        }
+    }
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for (i, r) in claimed.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item mapped"))
+        .collect()
 }
 
 fn set_bitrate(w: super::scenario::Workload, bitrate: Bitrate) -> super::scenario::Workload {

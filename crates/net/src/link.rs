@@ -11,6 +11,7 @@
 
 use fmbs_audio::program::ProgramKind;
 use fmbs_core::modem::Bitrate;
+use fmbs_core::sim::cache;
 use fmbs_core::sim::metric::Ber;
 use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_core::sim::sweep::SweepBuilder;
@@ -62,6 +63,35 @@ impl BerTableSpec {
     }
 }
 
+/// The [`BerTable::calibrate`] memo key: the simulator's name and every
+/// [`BerTableSpec`] field, `f64`s by bit pattern. A simulator's name
+/// stands for its behaviour: each tier is one deterministic simulator.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct BerTableKey {
+    sim: &'static str,
+    powers_dbm: Vec<u64>,
+    distances_ft: Vec<u64>,
+    bitrates: Vec<Bitrate>,
+    bits_per_point: u32,
+    repeats: usize,
+    seed: u64,
+}
+
+impl BerTableKey {
+    fn new(sim: &dyn Simulator, spec: &BerTableSpec) -> Self {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        BerTableKey {
+            sim: sim.name(),
+            powers_dbm: bits(&spec.powers_dbm),
+            distances_ft: bits(&spec.distances_ft),
+            bitrates: spec.bitrates.clone(),
+            bits_per_point: spec.bits_per_point,
+            repeats: spec.repeats,
+            seed: spec.seed,
+        }
+    }
+}
+
 /// Single-link BER tabulated over (rate, power, distance), bilinearly
 /// interpolated in (power, distance) and clamped at the grid edges.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -94,7 +124,18 @@ impl BerTable {
     /// Calibrates the table by sweeping `sim` over the spec's grid
     /// through the ordinary sweep engine (so calibration itself runs on
     /// parallel workers with deterministic per-point seeding).
+    ///
+    /// The table depends only on the simulator and the spec, so it is
+    /// memoised in the installed [`cache::SweepCache`]: a campaign
+    /// calibrates each distinct spec once. With no cache installed it
+    /// calibrates on every call.
     pub fn calibrate(sim: &dyn Simulator, spec: &BerTableSpec) -> Self {
+        cache::derive(BerTableKey::new(sim, spec), || {
+            Self::calibrate_uncached(sim, spec)
+        })
+    }
+
+    fn calibrate_uncached(sim: &dyn Simulator, spec: &BerTableSpec) -> Self {
         fmbs_obs::span!(fmbs_obs::stages::BER_CALIBRATE);
         let np = spec.powers_dbm.len();
         let nd = spec.distances_ft.len();
@@ -320,6 +361,13 @@ impl TableDelta {
     }
 }
 
+/// The [`PacketModel::for_frame`] memo key: its every input.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct PacketModelKey {
+    packet_bits: u32,
+    coding: bool,
+}
+
 /// Packet-level outcome model: the probability that a whole frame
 /// decodes cleanly as a function of the link's *raw* BER.
 ///
@@ -384,13 +432,22 @@ impl PacketModel {
     /// The standard model for a frame length: the FEC-measured curve
     /// when `coding` is on (128 trials, seed derived from the frame
     /// length — a property of the code, not of any run), else the
-    /// uncoded closed form.
+    /// uncoded closed form. Memoised in the installed
+    /// [`cache::SweepCache`] behind `(packet_bits, coding)`.
     pub fn for_frame(packet_bits: u32, coding: bool) -> Self {
-        if coding {
-            PacketModel::coded(packet_bits, 128, 0xFEC ^ packet_bits as u64)
-        } else {
-            PacketModel::uncoded(packet_bits)
-        }
+        cache::derive(
+            PacketModelKey {
+                packet_bits,
+                coding,
+            },
+            || {
+                if coding {
+                    PacketModel::coded(packet_bits, 128, 0xFEC ^ packet_bits as u64)
+                } else {
+                    PacketModel::uncoded(packet_bits)
+                }
+            },
+        )
     }
 
     /// The uncoded closed form: a frame survives only if every raw bit
@@ -424,6 +481,42 @@ mod tests {
             vec![Bitrate::Kbps1_6],
             vec![0.0, 0.1, 0.2, 0.1, 0.2, 0.3],
         )
+    }
+
+    // The memo is semantically invisible: under an installed cache both
+    // derivations return exactly what the uncached path computes, and a
+    // repeat is served from the memo.
+    #[test]
+    fn memoised_derivations_match_uncached_bit_for_bit() {
+        use fmbs_core::sim::cache::{install, SweepCache};
+        use fmbs_core::sim::fast::FastSim;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let spec = BerTableSpec {
+            powers_dbm: vec![-50.0, -30.0],
+            distances_ft: vec![2.0, 12.0],
+            bits_per_point: 160,
+            repeats: 1,
+            ..BerTableSpec::quick()
+        };
+        let plain_packets = PacketModel::for_frame(96, true);
+        let plain_table = BerTable::calibrate(&FastSim, &spec);
+
+        let cache = SweepCache::new();
+        let _guard = install(Some(cache.clone()));
+        for _ in 0..2 {
+            let packets = PacketModel::for_frame(96, true);
+            assert_eq!(bits(&packets.success), bits(&plain_packets.success));
+            assert_eq!(bits(&packets.ber_grid), bits(&plain_packets.ber_grid));
+            let table = BerTable::calibrate(&FastSim, &spec);
+            assert_eq!(bits(&table.ber), bits(&plain_table.ber));
+            assert_eq!(table.bitrates, plain_table.bitrates);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.derived_misses, stats.derived_hits), (2, 2));
+        // A spec differing in one field is a different key.
+        let reseeded = BerTableSpec { seed: 7, ..spec };
+        BerTable::calibrate(&FastSim, &reseeded);
+        assert_eq!(cache.stats().derived_misses, 3);
     }
 
     #[test]

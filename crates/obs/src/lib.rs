@@ -106,6 +106,9 @@ pub mod stages {
     pub const FAULT_SCHEDULE: &str = "fault_schedule";
     /// Workload arrival-trace generation.
     pub const TRACE_GEN: &str = "workload_trace_gen";
+    /// One Fig. 5 programme window: synthesis, MPX composition and the
+    /// band-power PSD.
+    pub const STEREO_WINDOW: &str = "stereo_util_window";
     /// One campaign city: every selected figure regenerated (or
     /// reused) for that city (`repro --campaign`).
     pub const CAMPAIGN_CITY: &str = "campaign_city";

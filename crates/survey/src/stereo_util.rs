@@ -14,9 +14,32 @@ use fmbs_fm::baseband::{measure_band_powers, MpxComposer, MpxLevels};
 /// MPX analysis rate.
 const MPX_RATE: f64 = 200_000.0;
 
+/// Measures `P_stereo / P_guard` in dB over programme window `window`
+/// (of `window_s` seconds) — one sample of a genre's Fig. 5 CDF. Each
+/// window is independent: its programme seed derives from `seed` and
+/// the window index alone, so windows may run in any order or in
+/// parallel.
+pub fn stereo_utilisation_window(
+    kind: ProgramKind,
+    window: usize,
+    window_s: f64,
+    seed: u64,
+) -> f64 {
+    fmbs_obs::span!(fmbs_obs::stages::STEREO_WINDOW);
+    let gen = ProgramGenerator::new(MPX_RATE, seed.wrapping_add(window as u64 * 131));
+    let prog = gen.generate(kind, window_s);
+    let mut composer = MpxComposer::new(MPX_RATE, MpxLevels::default());
+    let mpx = composer.compose_buffer(&prog.left, &prog.right, &[]);
+    let p = measure_band_powers(&mpx, MPX_RATE);
+    // Guard region power is tiny but nonzero (window leakage); floor it
+    // so ratios stay finite, as a real noise floor would.
+    10.0 * (p.stereo / p.guard.max(1e-12)).log10()
+}
+
 /// Measures `P_stereo / P_guard` in dB over `windows` independent
-/// programme segments of `window_s` seconds each — the sample set behind
-/// one genre's CDF line in Fig. 5.
+/// programme segments of `window_s` seconds each, one after another —
+/// the sample set behind one genre's CDF line in Fig. 5, and the serial
+/// reference a parallel run of [`stereo_utilisation_window`] must match.
 pub fn stereo_utilisation_samples(
     kind: ProgramKind,
     windows: usize,
@@ -24,25 +47,22 @@ pub fn stereo_utilisation_samples(
     seed: u64,
 ) -> Vec<f64> {
     (0..windows)
-        .map(|w| {
-            let gen = ProgramGenerator::new(MPX_RATE, seed.wrapping_add(w as u64 * 131));
-            let prog = gen.generate(kind, window_s);
-            let mut composer = MpxComposer::new(MPX_RATE, MpxLevels::default());
-            let mpx = composer.compose_buffer(&prog.left, &prog.right, &[]);
-            let p = measure_band_powers(&mpx, MPX_RATE);
-            // Guard region power is tiny but nonzero (window leakage);
-            // floor it so ratios stay finite, as a real noise floor would.
-            10.0 * (p.stereo / p.guard.max(1e-12)).log10()
-        })
+        .map(|w| stereo_utilisation_window(kind, w, window_s, seed))
         .collect()
 }
 
-/// The Fig. 5 CDF for one genre.
-///
-/// Windows are 4 s so that the Mixed genre (2 s speech / 2 s music
-/// alternation) always contains both kinds of content.
+/// Fig. 5's programme window length: 4 s, so that the Mixed genre (2 s
+/// speech / 2 s music alternation) always contains both kinds of content.
+pub const FIG5_WINDOW_S: f64 = 4.0;
+
+/// The Fig. 5 CDF for one genre, its windows measured serially.
 pub fn stereo_utilisation_cdf(kind: ProgramKind, windows: usize, seed: u64) -> Cdf {
-    Cdf::from_samples(&stereo_utilisation_samples(kind, windows, 4.0, seed))
+    Cdf::from_samples(&stereo_utilisation_samples(
+        kind,
+        windows,
+        FIG5_WINDOW_S,
+        seed,
+    ))
 }
 
 #[cfg(test)]
