@@ -1178,6 +1178,7 @@ impl CitySim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TraceKind;
 
     fn table() -> Arc<BerTable> {
         Arc::new(BerTable::from_grid(
@@ -1188,21 +1189,102 @@ mod tests {
         ))
     }
 
+    /// FNV-1a 64 over the `Debug` rendering of a run's full statistics
+    /// and event trace (cap and drop count included).
+    fn run_digest(stats: &NetStats, trace: &EventTrace) -> u64 {
+        format!("{stats:?}{trace:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Per-tag arrival lists with deadlines tight enough that
+    /// `drop_expired` sheds packets under contention.
+    fn pinned_arrivals(n_tags: usize) -> Traffic {
+        use crate::engine::Arrival;
+        Traffic::Trace(Arc::new(ArrivalTrace {
+            per_tag: (0..n_tags as u64)
+                .map(|i| {
+                    (0..8u64)
+                        .map(|k| Arrival {
+                            slot: (i * 7 + (k / 2) * 41) % 280,
+                            deadline_slots: ((i + k) % 4) as u32,
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .map(|mut v| {
+                    v.sort_by_key(|a| a.slot);
+                    v
+                })
+                .collect(),
+        }))
+    }
+
     #[test]
     fn single_receiver_plan_matches_classic_engine_bit_for_bit() {
-        let mut cfg = NetworkConfig::new(150, 300);
-        cfg.record_trace = true;
-        let classic = NetworkSim::new(cfg, table()).run();
-        let metro = Deployment::city(150)
-            .slots(300)
-            .record_trace(true)
-            .build()
-            .expect("valid")
-            .into_sim(table())
-            .run();
-        assert_eq!(classic.trace, metro.trace);
-        assert_eq!(classic.stats.delivered, metro.stats.delivered);
-        assert_eq!(classic.stats.latencies_slots, metro.stats.latencies_slots);
+        use fmbs_core::harvest::Illumination;
+        // Each case pins one engine branch: saturated contention,
+        // trace-driven queues with expiry shedding, every fault class
+        // under ARQ, and a streetlight-starved harvester. The digests
+        // were recorded from the classic single-receiver engine.
+        let all_faults = FaultSpec::none()
+            .with_outages(1, 40)
+            .with_brownouts(2, 50, 0.2)
+            .with_bursts(2, 30, 0.05)
+            .with_resets(8);
+        let cases: [(&str, Deployment, u64); 4] = [
+            (
+                "saturated",
+                Deployment::city(150).slots(300),
+                0x052a_3d78_dad4_6f08,
+            ),
+            (
+                "trace+drop_expired",
+                Deployment::city(120)
+                    .slots(300)
+                    .traffic(pinned_arrivals(120))
+                    .drop_expired(true),
+                0x7334_f29c_8e1b_6b0b,
+            ),
+            (
+                "faults+arq",
+                Deployment::city(80)
+                    .slots(400)
+                    .traffic(pinned_arrivals(80))
+                    .faults(all_faults)
+                    .arq(ArqConfig::default()),
+                0x84db_19f4_fc4b_ff25,
+            ),
+            (
+                "streetlight",
+                Deployment::city(6)
+                    .slots(2_000)
+                    .harvest(HarvestProfile::Solar(Illumination::Streetlight))
+                    .storage(4.0),
+                0x09fe_0be5_6ebe_afd1,
+            ),
+        ];
+        for (name, deployment, digest) in cases {
+            let plan = deployment.record_trace(true).build().expect("valid");
+            let classic = NetworkSim::new(plan.network_config().clone(), table()).run();
+            let run = plan.into_sim(table()).run();
+            assert_eq!(classic.trace, run.trace, "{name}");
+            let (s, trace) = (&run.stats, &run.trace);
+            let exercised = match name {
+                "saturated" => s.collided > 0,
+                "trace+drop_expired" => s.expired_dropped > 0,
+                "faults+arq" => {
+                    s.retransmissions > 0
+                        && s.abandoned > 0
+                        && trace.iter().any(|e| e.kind == TraceKind::Reset)
+                }
+                _ => s.starved_slots > 0,
+            };
+            assert!(exercised, "{name}: branch not exercised: {s:?}");
+            assert!(!trace.truncated() && !trace.is_empty(), "{name}");
+            assert_eq!(run_digest(s, trace), digest, "{name}: digest moved");
+        }
     }
 
     #[test]
