@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fmbs_core::sim::fast::FastSim;
-use fmbs_net::prelude::{BerTable, BerTableSpec, NetworkConfig, NetworkSim};
+use fmbs_net::prelude::{BerTable, BerTableSpec, Deployment};
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
@@ -15,16 +15,18 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("network_capacity");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(10_000 * 1_000));
-    g.bench_function("tags10k_slots1k", |b| {
-        let sim = NetworkSim::new(NetworkConfig::new(10_000, 1_000), table.clone());
-        b.iter(|| std::hint::black_box(sim.run()))
-    });
-    g.throughput(Throughput::Elements(500 * 10_000));
-    g.bench_function("tags500_slots10k", |b| {
-        let sim = NetworkSim::new(NetworkConfig::new(500, 10_000), table.clone());
-        b.iter(|| std::hint::black_box(sim.run()))
-    });
+    for (name, n_tags, n_slots) in [
+        ("tags10k_slots1k", 10_000, 1_000),
+        ("tags500_slots10k", 500, 10_000),
+    ] {
+        g.throughput(Throughput::Elements(n_tags as u64 * n_slots));
+        let sim = Deployment::city(n_tags)
+            .slots(n_slots)
+            .build()
+            .expect("valid deployment")
+            .into_sim(table.clone());
+        g.bench_function(name, |b| b.iter(|| std::hint::black_box(sim.run())));
+    }
     g.finish();
 }
 

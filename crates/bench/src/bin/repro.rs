@@ -73,9 +73,11 @@ use fmbs_bench::experiments::{self, ExperimentSpec, Grid, REGISTRY};
 use fmbs_bench::manifest::{self, FigureEntry};
 use fmbs_bench::perf;
 use fmbs_bench::report::Experiment;
+use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::Tier;
 use fmbs_net::corpus::CityScenario;
 use fmbs_net::faults::FaultKind;
+use fmbs_net::link::{BerTable, BerTableSpec};
 use fmbs_obs::Collector;
 use std::sync::Arc;
 use std::time::Instant;
@@ -319,7 +321,7 @@ fn run_perf(path: &str, label: &str, gate: bool) {
     // Baselines are read from the committed repo-root series *before*
     // anything is appended: with the default path the fresh record lands
     // in the same file, and a gate reading it afterwards would compare
-    // the measurement against itself. The four network populations come
+    // the measurement against itself. Every network population comes
     // out of one `net_baselines` parse, so BENCH_net.json is read
     // exactly once and a malformed file is one error, not four.
     let baselines = gate.then(|| {
@@ -349,107 +351,60 @@ fn run_perf(path: &str, label: &str, gate: bool) {
             std::process::exit(1);
         }
     };
+    // Calibration is untimed and shared by every network case.
+    let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
     let net_path = perf::net_series_path(path);
-    let net_rec = match perf::record_net(&net_path, label, 2) {
-        Ok(rec) => {
-            println!(
-                "network throughput: {} tags x {} slots in {:.2} s \
-                 ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-                rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-            );
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf (network) failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let workload_rec = match perf::record_net_workload(&net_path, label, 2) {
-        Ok(rec) => {
-            println!(
-                "workload throughput: {} tags x {} slots (poisson trace) in {:.2} s \
-                 ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-                rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-            );
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf (workload) failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let faults_rec = match perf::record_net_faults(&net_path, label, 2) {
-        Ok(rec) => {
-            println!(
-                "faults throughput: {} tags x {} slots (all fault classes + ARQ) in {:.2} s \
-                 ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-                rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-            );
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf (faults) failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    // The metro run is the 10^6-tag x 10^4-slot acceptance bar: one
-    // timed sample (it dwarfs the others), sharded on every core.
-    let metro_rec = match perf::record_net_metro(&net_path, label, 1) {
-        Ok(rec) => {
-            println!(
-                "metro throughput: {} tags x {} slots (16 cells, capture on) in {:.2} s \
-                 ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-                rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-            );
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf (metro) failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let net_recs: Vec<perf::NetPerfRecord> = perf::NET_CASES
+        .iter()
+        .map(
+            |case| match perf::record_net(&net_path, case, &table, label) {
+                Ok(rec) => {
+                    println!(
+                        "{} throughput: {} tags x {} slots{} in {:.2} s \
+                     ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
+                        case.name,
+                        rec.n_tags,
+                        rec.n_slots,
+                        case.detail,
+                        rec.elapsed_s,
+                        rec.tag_slots_per_sec,
+                        rec.delivered,
+                    );
+                    rec
+                }
+                Err(e) => {
+                    eprintln!("--perf ({}) failed: {e}", case.name);
+                    std::process::exit(1);
+                }
+            },
+        )
+        .collect();
     if let Some((sweep_baseline, net_baselines)) = baselines {
         let mut outcomes: Vec<Result<perf::GateOutcome, String>> = Vec::new();
         outcomes.push(sweep_baseline.map(|b| perf::gate_sweep(&b, &rec, perf::MAX_PERF_DROP)));
         match net_baselines {
-            Ok(b) => {
-                // The saturated population exists since the series was
-                // first committed: missing means the file is broken.
-                outcomes.push(
-                    b.net
-                        .map(|base| perf::gate_net(&base, &net_rec, perf::MAX_PERF_DROP))
-                        .ok_or_else(|| {
-                            "BENCH_net.json has no saturated network records".to_string()
-                        }),
-                );
-                // The workload, faults and metro populations are newer
-                // than the shared series file: a parseable file with no
-                // such record yet seeds the series instead of failing
-                // the gate.
-                type GateFn =
-                    fn(&perf::NetPerfRecord, &perf::NetPerfRecord, f64) -> perf::GateOutcome;
-                let optional: [(
-                    &str,
-                    Option<perf::NetPerfRecord>,
-                    GateFn,
-                    &perf::NetPerfRecord,
-                ); 3] = [
-                    (
-                        "workload",
-                        b.workload,
-                        perf::gate_net_workload,
-                        &workload_rec,
-                    ),
-                    ("faults", b.faults, perf::gate_net_faults, &faults_rec),
-                    ("metro", b.metro, perf::gate_net_metro, &metro_rec),
-                ];
-                for (name, baseline, gate_fn, measured) in optional {
+            Ok(baselines) => {
+                let cases = perf::NET_CASES.iter().zip(baselines).zip(&net_recs);
+                for ((case, baseline), measured) in cases {
                     match baseline {
-                        Some(base) => {
-                            outcomes.push(Ok(gate_fn(&base, measured, perf::MAX_PERF_DROP)));
-                        }
+                        Some(base) => outcomes.push(Ok(perf::gate_net(
+                            case,
+                            &base,
+                            measured,
+                            perf::MAX_PERF_DROP,
+                        ))),
+                        // The saturated population exists since the
+                        // series was first committed: missing means the
+                        // file is broken.
+                        None if case.suffix.is_empty() => outcomes.push(Err(
+                            "BENCH_net.json has no saturated network records".to_string(),
+                        )),
+                        // The newer populations seed themselves: a
+                        // parseable file with no such record yet is not
+                        // a failure.
                         None => println!(
-                            "{name} tag-slots/s: no committed baseline yet; seeding the series"
+                            "{} tag-slots/s: no committed baseline yet; seeding the series",
+                            case.name
                         ),
                     }
                 }

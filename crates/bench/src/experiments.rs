@@ -18,6 +18,7 @@ use crate::report::{Experiment, Series};
 use fmbs_audio::program::ProgramKind;
 use fmbs_channel::fading::MotionProfile;
 use fmbs_core::modem::Bitrate;
+use fmbs_core::sim::cache;
 use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::metric::{Ber, BerMrc, CoopPesq, Metric, Pesq, ToneSnr};
 use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Scenario, Workload};
@@ -797,16 +798,16 @@ pub fn ablation(_grid: Grid) -> Experiment {
     }
 }
 
-/// Since PR 9 every figure's flat network spec is assembled through the
-/// [`Deployment`] builder and the `From<Deployment> for NetSpec` shim,
-/// so build-time validation (band, ARQ, fault windows) fronts each
-/// sweep. The builder's tag count is a placeholder here: a flat
-/// [`NetSpec`] takes its density from the scenario's `n_tags` axis.
-/// City-parameterized deployment shim: a campaign city
-/// contributes its harvest profile and band plan through its corpus
-/// deployment; `None` is the flat pre-campaign world. Flat figures
-/// still take density from the scenario's `n_tags` axis and ambient
-/// power from the scenario itself (see [`bench_base`]).
+/// The template deployment behind the flat network, workload and fault
+/// figures: a campaign city's corpus deployment, or the default cell
+/// when `None`. [`NetSpec::new`] validates it once, and every sweep
+/// point then runs [`Deployment::for_scenario`] over it, which keeps
+/// only the template's harvest profile, packet length, storage, fault
+/// plan and ARQ. A campaign city therefore contributes its harvest
+/// profile alone: its host and occupied channels, stations and
+/// receivers are dropped, density comes from the scenario's `n_tags`
+/// axis, and power and seed from the city-adjusted scenario of
+/// [`bench_base`].
 fn deployed_in(table: &Arc<BerTable>, city: Option<&CityScenario>) -> Deployment {
     match city {
         Some(c) => c.deployment().link(table.clone()),
@@ -866,7 +867,7 @@ fn network_capacity_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
         .mac_slot_counts(frames)
         .run(
             &FastSim,
-            &NetGoodput(NetSpec::from(deployed_in(&table, city))),
+            &NetGoodput(NetSpec::new(deployed_in(&table, city))),
         );
     let mut series: Vec<Series> = goodput
         .series_by(|v| v.scenario.mac_slots, |v| v.scenario.n_tags as f64)
@@ -879,7 +880,7 @@ fn network_capacity_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
         .mac_slot_counts([frames[1]])
         .run(
             &FastSim,
-            &NetGoodput(NetSpec::from(deployed_in(&table, city).harvest(
+            &NetGoodput(NetSpec::new(deployed_in(&table, city).harvest(
                 HarvestProfile::Solar(fmbs_core::harvest::Illumination::Streetlight),
             ))),
         );
@@ -893,7 +894,7 @@ fn network_capacity_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
         .mac_slot_counts([frames[1]])
         .run(
             &FastSim,
-            &NetCollisionRate(NetSpec::from(deployed_in(&table, city))),
+            &NetCollisionRate(NetSpec::new(deployed_in(&table, city))),
         );
     series.push(Series::new(
         "collision rate",
@@ -970,7 +971,7 @@ pub fn workload_slo_latency_city(grid: Grid, city: &CityScenario) -> Experiment 
 fn workload_slo_latency_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
     let table = workload_table(grid);
     let tags = workload_tags(grid);
-    let spec = || WorkloadSpec::new(NetSpec::from(deployed_in(&table, city)));
+    let spec = || WorkloadSpec::new(NetSpec::new(deployed_in(&table, city)));
 
     let mut series = Vec::new();
     for (model, name) in [
@@ -1034,7 +1035,7 @@ pub fn workload_slo_miss_city(grid: Grid, city: &CityScenario) -> Experiment {
 fn workload_slo_miss_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
     let table = workload_table(grid);
     let tags = workload_tags(grid);
-    let spec = || WorkloadSpec::new(NetSpec::from(deployed_in(&table, city)));
+    let spec = || WorkloadSpec::new(NetSpec::new(deployed_in(&table, city)));
 
     let mut series = Vec::new();
     for (policy, name) in [
@@ -1108,14 +1109,14 @@ pub fn fault_plan(kind: FaultKind) -> FaultSpec {
 /// brownouts actually starve something) with the default ARQ on. A
 /// campaign city substitutes its own harvest profile — a mains-powered
 /// city *should* shrug off brownouts, and the figure shows it.
-fn fault_workload_in(table: &Arc<BerTable>, city: Option<&CityScenario>) -> WorkloadSpec {
+fn fault_deployment_in(table: &Arc<BerTable>, city: Option<&CityScenario>) -> Deployment {
     let deployment = match city {
         Some(_) => deployed_in(table, city),
         None => deployed_in(table, None).harvest(fmbs_net::prelude::HarvestProfile::Solar(
             fmbs_core::harvest::Illumination::Streetlight,
         )),
     };
-    WorkloadSpec::new(NetSpec::from(deployment.arq(ArqConfig::default())))
+    deployment.arq(ArqConfig::default())
 }
 
 /// Delivery ratio and retransmission overhead versus tag density under
@@ -1136,16 +1137,20 @@ pub fn fault_resilience_goodput_for(
             .series(|v| v.scenario.n_tags as f64)
     };
 
+    let spec = |faults: FaultSpec| {
+        WorkloadSpec::new(NetSpec::new(
+            fault_deployment_in(&table, city).faults(faults),
+        ))
+    };
+
     let mut series = vec![Series::new(
         "delivery ratio, no fault",
-        sweep(&DeliveryRatio(fault_workload_in(&table, city))),
+        sweep(&DeliveryRatio(spec(FaultSpec::none()))),
     )];
     for k in &kinds {
-        let mut spec = fault_workload_in(&table, city);
-        spec.net.faults = fault_plan(*k);
         series.push(Series::new(
             format!("delivery ratio, {}", k.name()),
-            sweep(&DeliveryRatio(spec)),
+            sweep(&DeliveryRatio(spec(fault_plan(*k)))),
         ));
     }
     // What reliability costs in airtime: the retransmitted share of
@@ -1153,14 +1158,12 @@ pub fn fault_resilience_goodput_for(
     // the ARQ hardest (the restricted build mirrors its own kind).
     series.push(Series::new(
         "retx overhead, no fault",
-        sweep(&RetxOverhead(fault_workload_in(&table, city))),
+        sweep(&RetxOverhead(spec(FaultSpec::none()))),
     ));
     let stressor = kind.unwrap_or(FaultKind::Burst);
-    let mut spec = fault_workload_in(&table, city);
-    spec.net.faults = fault_plan(stressor);
     series.push(Series::new(
         format!("retx overhead, {}", stressor.name()),
-        sweep(&RetxOverhead(spec)),
+        sweep(&RetxOverhead(spec(fault_plan(stressor)))),
     ));
 
     Experiment {
@@ -1204,6 +1207,9 @@ pub fn fault_resilience_recovery_for(
     let budgets: [u32; 4] = [0, 1, 4, 8];
     let cells: [u32; 10] = [16, 24, 32, 48, 64, 80, 96, 112, 128, 160];
 
+    // These runs evaluate outside any sweep, so memoise their shared
+    // packet model in the caller's cache, or in a fresh one.
+    let _cache = cache::install(Some(cache::active().unwrap_or_default()));
     let mut recovery = Vec::new();
     let mut overhead = Vec::new();
     for b in budgets {
@@ -1211,12 +1217,14 @@ pub fn fault_resilience_recovery_for(
         for n in cells {
             let mut scenario = workload_base_in(grid, ArrivalModel::Poisson, city);
             scenario.n_tags = n;
-            let mut spec = fault_workload_in(&table, city);
-            spec.net.faults = fault_plan(kind);
-            spec.net.arq = Some(ArqConfig {
-                max_retx: b,
-                ..ArqConfig::default()
-            });
+            let spec = WorkloadSpec::new(NetSpec::new(
+                fault_deployment_in(&table, city)
+                    .faults(fault_plan(kind))
+                    .arq(ArqConfig {
+                        max_retx: b,
+                        ..ArqConfig::default()
+                    }),
+            ));
             r_mean += RecoveryTimeSlots::new(spec.clone()).evaluate(&FastSim, &scenario)
                 / cells.len() as f64;
             o_mean += RetxOverhead(spec).evaluate(&FastSim, &scenario) / cells.len() as f64;

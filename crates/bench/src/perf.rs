@@ -14,7 +14,9 @@ use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::metric::Ber;
 use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_core::sim::sweep::SweepBuilder;
+use fmbs_net::prelude::{BerTable, Deployment};
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measurement of the perf series.
@@ -222,71 +224,83 @@ pub fn net_series_path(sweep_path: &str) -> String {
     }
 }
 
-/// Measures the acceptance-bar network run — 10,000 tags × 1,000 slots
-/// over a quick-calibrated link table — and returns the record (best of
-/// `samples` timed runs; calibration is untimed).
-pub fn measure_net(label: &str, samples: usize) -> NetPerfRecord {
-    use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_net::prelude::{BerTable, BerTableSpec, NetworkConfig, NetworkSim};
-    let (n_tags, n_slots) = (10_000usize, 1_000u64);
-    let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let sim = NetworkSim::new(NetworkConfig::new(n_tags, n_slots), table);
-    let mut best = f64::INFINITY;
-    let mut delivered = 0;
-    for _ in 0..samples.max(1) {
-        let t = Instant::now();
-        let run = sim.run();
-        best = best.min(t.elapsed().as_secs_f64());
-        delivered = run.stats.delivered;
-    }
-    NetPerfRecord {
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        label: label.to_string(),
-        n_tags,
-        n_slots,
-        elapsed_s: best,
-        tag_slots_per_sec: n_tags as f64 * n_slots as f64 / best,
-        delivered,
-    }
+/// One population of the network perf series: a deployment timed end
+/// to end through [`fmbs_net::topology::CitySim::run`], its records
+/// told apart inside the shared `BENCH_net.json` by label suffix. (The
+/// vendored serde stand-in cannot deserialise records with unknown or
+/// missing fields, so every population reuses [`NetPerfRecord`]
+/// verbatim.)
+#[derive(Debug)]
+pub struct NetCase {
+    /// Population name, as printed and gated ("network tag-slots/s").
+    pub name: &'static str,
+    /// Label suffix of this population's records; empty for the
+    /// saturated population, which every series has held since it was
+    /// first committed.
+    pub suffix: &'static str,
+    /// What the run exercises, printed after its size.
+    pub detail: &'static str,
+    /// Timed samples (best-of).
+    pub samples: usize,
+    /// The deployment under test. Anything it precomputes (an arrival
+    /// trace) stays outside the timed region.
+    pub deployment: fn() -> Deployment,
 }
 
-/// Measures the network run and appends to the series file at `path`
-/// (same create/don't-clobber policy as [`record`]).
-pub fn record_net(path: &str, label: &str, samples: usize) -> Result<NetPerfRecord, String> {
-    append_net(path, measure_net(label, samples))
+/// The four network perf cases of `repro --perf`, saturated first:
+///
+/// * the 10,000-tag × 1,000-slot acceptance-bar cell, full-buffer;
+/// * the same cell trace-driven: Poisson arrivals at a moderate load
+///   through the per-tag FIFO queues;
+/// * the saturated cell with every fault class active and the default
+///   ARQ on, so the fault and retransmission paths are all timed;
+/// * 10⁶ tags × 10⁴ slots sharded across a 4×4 receiver grid with
+///   capture on, on every available core (one sample: it dwarfs the
+///   others).
+pub const NET_CASES: [NetCase; 4] = [
+    NetCase {
+        name: "network",
+        suffix: "",
+        detail: "",
+        samples: 2,
+        deployment: saturated_cell,
+    },
+    NetCase {
+        name: "workload",
+        suffix: "+workload",
+        detail: " (poisson trace)",
+        samples: 2,
+        deployment: poisson_cell,
+    },
+    NetCase {
+        name: "faults",
+        suffix: "+faults",
+        detail: " (all fault classes + ARQ)",
+        samples: 2,
+        deployment: faulted_cell,
+    },
+    NetCase {
+        name: "metro",
+        suffix: "+metro",
+        detail: " (16 cells, capture on)",
+        samples: 1,
+        deployment: metro_grid,
+    },
+];
+
+fn saturated_cell() -> Deployment {
+    Deployment::city(10_000).slots(1_000)
 }
 
-/// Label suffix marking the workload (trace-driven) records inside the
-/// shared `BENCH_net.json` series. The vendored serde stand-in cannot
-/// deserialise records with unknown-or-missing fields, so the workload
-/// series reuses [`NetPerfRecord`] verbatim and the two populations are
-/// told apart by label alone.
-pub const WORKLOAD_LABEL_SUFFIX: &str = "+workload";
-
-/// Whether a net-series record belongs to the workload population.
-pub fn is_workload_label(label: &str) -> bool {
-    label.ends_with(WORKLOAD_LABEL_SUFFIX)
-}
-
-/// Measures the workload acceptance-bar run — the same 10,000 tags ×
-/// 1,000 slots, but trace-driven: Poisson arrivals at a moderate load
-/// through the per-tag FIFO queues instead of full-buffer saturation.
-/// Trace generation and table calibration are untimed, like the
-/// saturated benchmark's calibration.
-pub fn measure_net_workload(label: &str, samples: usize) -> NetPerfRecord {
-    use fmbs_core::sim::fast::FastSim as Fast;
+fn poisson_cell() -> Deployment {
     use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
-    use fmbs_net::prelude::{BerTable, BerTableSpec, NetworkConfig, NetworkSim, Traffic};
+    use fmbs_net::prelude::Traffic;
     use fmbs_workload::arrivals::TraceSpec;
-    let (n_tags, n_slots) = (10_000usize, 1_000u64);
-    let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let mut cfg = NetworkConfig::new(n_tags, n_slots);
+    let cell = saturated_cell();
+    let cfg = cell.network_config();
     let trace = TraceSpec {
-        n_tags,
-        n_slots,
+        n_tags: cfg.n_tags,
+        n_slots: cfg.n_slots,
         slot_secs: cfg.slot_secs(),
         model: ArrivalModel::Poisson,
         offered_load: 0.05,
@@ -294,149 +308,70 @@ pub fn measure_net_workload(label: &str, samples: usize) -> NetPerfRecord {
         seed: cfg.seed,
     }
     .generate();
-    cfg.traffic = Traffic::Trace(std::sync::Arc::new(trace));
-    let sim = NetworkSim::new(cfg, table);
-    let mut best = f64::INFINITY;
-    let mut delivered = 0;
-    for _ in 0..samples.max(1) {
-        let t = Instant::now();
-        let run = sim.run();
-        best = best.min(t.elapsed().as_secs_f64());
-        delivered = run.stats.delivered;
-        debug_assert!(run.stats.queue_conserved(), "{:?}", run.stats);
-    }
-    NetPerfRecord {
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        label: format!("{label}{WORKLOAD_LABEL_SUFFIX}"),
-        n_tags,
-        n_slots,
-        elapsed_s: best,
-        tag_slots_per_sec: n_tags as f64 * n_slots as f64 / best,
-        delivered,
-    }
+    cell.traffic(Traffic::Trace(Arc::new(trace)))
 }
 
-/// Measures the workload run and appends to the shared net series file.
-pub fn record_net_workload(
-    path: &str,
-    label: &str,
-    samples: usize,
-) -> Result<NetPerfRecord, String> {
-    append_net(path, measure_net_workload(label, samples))
+fn faulted_cell() -> Deployment {
+    use fmbs_net::prelude::{ArqConfig, FaultSpec};
+    saturated_cell().arq(ArqConfig::default()).faults(
+        FaultSpec::none()
+            .with_outages(1, 120)
+            .with_brownouts(2, 150, 0.25)
+            .with_bursts(2, 80, 0.03)
+            .with_resets(64),
+    )
 }
 
-/// Label suffix marking the fault-injection records (full fault plan +
-/// ARQ over the saturated run) inside the shared `BENCH_net.json`
-/// series — same label-only population split as
-/// [`WORKLOAD_LABEL_SUFFIX`].
-pub const FAULTS_LABEL_SUFFIX: &str = "+faults";
-
-/// Whether a net-series record belongs to the fault-injection
-/// population.
-pub fn is_faults_label(label: &str) -> bool {
-    label.ends_with(FAULTS_LABEL_SUFFIX)
-}
-
-/// Measures the fault-injection acceptance-bar run — the saturated
-/// 10,000 tags × 1,000 slots with every fault class active and the
-/// default ARQ on, so the fault bookkeeping and retransmission paths
-/// are all on the timed hot path.
-pub fn measure_net_faults(label: &str, samples: usize) -> NetPerfRecord {
-    use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_net::prelude::{
-        ArqConfig, BerTable, BerTableSpec, FaultSpec, NetworkConfig, NetworkSim,
-    };
-    let (n_tags, n_slots) = (10_000usize, 1_000u64);
-    let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let mut cfg = NetworkConfig::new(n_tags, n_slots);
-    cfg.arq = Some(ArqConfig::default());
-    cfg.faults = FaultSpec::none()
-        .with_outages(1, 120)
-        .with_brownouts(2, 150, 0.25)
-        .with_bursts(2, 80, 0.03)
-        .with_resets(64);
-    let sim = NetworkSim::new(cfg, table);
-    let mut best = f64::INFINITY;
-    let mut delivered = 0;
-    for _ in 0..samples.max(1) {
-        let t = Instant::now();
-        let run = sim.run();
-        best = best.min(t.elapsed().as_secs_f64());
-        delivered = run.stats.delivered;
-        debug_assert!(run.stats.queue_conserved(), "{:?}", run.stats);
-    }
-    NetPerfRecord {
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        label: format!("{label}{FAULTS_LABEL_SUFFIX}"),
-        n_tags,
-        n_slots,
-        elapsed_s: best,
-        tag_slots_per_sec: n_tags as f64 * n_slots as f64 / best,
-        delivered,
-    }
-}
-
-/// Measures the fault-injection run and appends to the shared net
-/// series file.
-pub fn record_net_faults(path: &str, label: &str, samples: usize) -> Result<NetPerfRecord, String> {
-    append_net(path, measure_net_faults(label, samples))
-}
-
-/// Label suffix marking the metro-scale (sharded multi-receiver)
-/// records inside the shared `BENCH_net.json` series — same label-only
-/// population split as [`WORKLOAD_LABEL_SUFFIX`].
-pub const METRO_LABEL_SUFFIX: &str = "+metro";
-
-/// Whether a net-series record belongs to the metro-scale population.
-pub fn is_metro_label(label: &str) -> bool {
-    label.ends_with(METRO_LABEL_SUFFIX)
-}
-
-/// The metro acceptance-bar geometry: 10⁶ tags sharded across a 4×4
-/// receiver grid with capture on — the deployment the ISSUE's scale
-/// target names, shared by the perf series and the CI identity test.
-pub fn metro_acceptance_deployment(n_tags: usize, n_slots: u64) -> fmbs_net::prelude::Deployment {
-    use fmbs_net::prelude::{Deployment, Receiver, Station};
-    Deployment::city(n_tags)
-        .slots(n_slots)
+fn metro_grid() -> Deployment {
+    use fmbs_net::prelude::{Receiver, Station};
+    Deployment::city(1_000_000)
+        .slots(10_000)
         .stations([Station::at(10_000.0, 0.0)])
         .receivers(Receiver::grid(4, 4, 40.0))
         .capture(6.0)
 }
 
-/// Measures the metro acceptance-bar run — 10⁶ tags × 10⁴ slots sharded
-/// across 16 collision domains on every available core. Errs (instead
-/// of panicking) when the deployment fails build-time validation, with
-/// the typed error's hint attached.
-pub fn measure_net_metro(label: &str, samples: usize) -> Result<NetPerfRecord, String> {
-    use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_net::prelude::{BerTable, BerTableSpec};
-    let (n_tags, n_slots) = (1_000_000usize, 10_000u64);
-    let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let plan = metro_acceptance_deployment(n_tags, n_slots)
-        .build()
-        .map_err(|e| format!("invalid metro deployment: {e}\n  hint: {}", e.hint()))?;
-    let sim = plan.into_sim(table);
+/// The case a net-series record belongs to: the one whose suffix ends
+/// its label, else the saturated case.
+fn case_of(label: &str) -> usize {
+    NET_CASES
+        .iter()
+        .position(|c| !c.suffix.is_empty() && label.ends_with(c.suffix))
+        .unwrap_or(0)
+}
+
+/// Measures one case over `table` (best of its samples) and returns the
+/// record. Errs (instead of panicking) when the deployment fails
+/// build-time validation, with the typed error's hint attached.
+pub fn measure_net(
+    case: &NetCase,
+    table: &Arc<BerTable>,
+    label: &str,
+) -> Result<NetPerfRecord, String> {
+    let plan = (case.deployment)().build().map_err(|e| {
+        format!(
+            "invalid {} deployment: {e}\n  hint: {}",
+            case.name,
+            e.hint()
+        )
+    })?;
+    let (n_tags, n_slots) = (plan.network_config().n_tags, plan.network_config().n_slots);
+    let sim = plan.into_sim(table.clone());
     let mut best = f64::INFINITY;
     let mut delivered = 0;
-    for _ in 0..samples.max(1) {
+    for _ in 0..case.samples.max(1) {
         let t = Instant::now();
         let run = sim.run();
         best = best.min(t.elapsed().as_secs_f64());
         delivered = run.stats.delivered;
+        debug_assert!(run.stats.queue_conserved(), "{:?}", run.stats);
     }
     Ok(NetPerfRecord {
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0),
-        label: format!("{label}{METRO_LABEL_SUFFIX}"),
+        label: format!("{label}{}", case.suffix),
         n_tags,
         n_slots,
         elapsed_s: best,
@@ -445,9 +380,15 @@ pub fn measure_net_metro(label: &str, samples: usize) -> Result<NetPerfRecord, S
     })
 }
 
-/// Measures the metro run and appends to the shared net series file.
-pub fn record_net_metro(path: &str, label: &str, samples: usize) -> Result<NetPerfRecord, String> {
-    append_net(path, measure_net_metro(label, samples)?)
+/// Measures one case and appends it to the net series file at `path`
+/// (same create/don't-clobber policy as [`record`]).
+pub fn record_net(
+    path: &str,
+    case: &NetCase,
+    table: &Arc<BerTable>,
+    label: &str,
+) -> Result<NetPerfRecord, String> {
+    append_net(path, measure_net(case, table, label)?)
 }
 
 fn append_net(path: &str, rec: NetPerfRecord) -> Result<NetPerfRecord, String> {
@@ -547,73 +488,20 @@ pub fn last_sweep_record(path: &str) -> Result<PerfRecord, String> {
         .ok_or_else(|| format!("{path} has no records"))
 }
 
-/// The four baseline populations of one net series file, split by
-/// label suffix and read with a *single* parse — see [`net_baselines`].
-#[derive(Debug, Clone, Default)]
-pub struct NetBaselines {
-    /// Newest saturated clean record (no suffix), if any.
-    pub net: Option<NetPerfRecord>,
-    /// Newest trace-driven workload record ([`WORKLOAD_LABEL_SUFFIX`]).
-    pub workload: Option<NetPerfRecord>,
-    /// Newest fault-injection record ([`FAULTS_LABEL_SUFFIX`]).
-    pub faults: Option<NetPerfRecord>,
-    /// Newest metro-scale record ([`METRO_LABEL_SUFFIX`]).
-    pub metro: Option<NetPerfRecord>,
-}
-
-/// Reads and parses the network series at `path` once and splits the
-/// newest record of each label population out of it. This is what a
-/// `--perf --gate` run calls: the file is read exactly once, so a
-/// malformed series surfaces as *one* error instead of one per
-/// population (the per-population [`last_net_record`]-family accessors
-/// are thin views over this). Same read-before-append caveat as
-/// [`last_sweep_record`].
-pub fn net_baselines(path: &str) -> Result<NetBaselines, String> {
+/// Reads and parses the network series at `path` once and returns the
+/// newest record of each [`NET_CASES`] population, in table order
+/// (`None` where a population has no record yet). The file is read
+/// exactly once, so a malformed series is *one* error, not one per
+/// population. Same read-before-append caveat as [`last_sweep_record`].
+pub fn net_baselines(path: &str) -> Result<Vec<Option<NetPerfRecord>>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
     let series: NetPerfSeries = serde_json::from_str(&text)
         .map_err(|e| format!("{path} is not a net perf series: {e:?}"))?;
-    let mut baselines = NetBaselines::default();
+    let mut baselines = vec![None; NET_CASES.len()];
     for r in series.series.iter().rev() {
-        let slot = if is_workload_label(&r.label) {
-            &mut baselines.workload
-        } else if is_faults_label(&r.label) {
-            &mut baselines.faults
-        } else if is_metro_label(&r.label) {
-            &mut baselines.metro
-        } else {
-            &mut baselines.net
-        };
-        if slot.is_none() {
-            *slot = Some(r.clone());
-        }
+        baselines[case_of(&r.label)].get_or_insert_with(|| r.clone());
     }
     Ok(baselines)
-}
-
-/// Reads the last *saturated clean* record of the network series at
-/// `path` (workload and fault-injection records share the file but are
-/// separate populations — see [`WORKLOAD_LABEL_SUFFIX`] /
-/// [`FAULTS_LABEL_SUFFIX`]; same read-before-append caveat as
-/// [`last_sweep_record`]).
-pub fn last_net_record(path: &str) -> Result<NetPerfRecord, String> {
-    net_baselines(path)?
-        .net
-        .ok_or_else(|| format!("{path} has no saturated network records"))
-}
-
-/// Reads the last *workload* record of the network series at `path`.
-/// `Ok(None)` means the file parses but no workload record exists yet
-/// (the population is new); callers seed the series instead of gating.
-pub fn last_net_workload_record(path: &str) -> Result<Option<NetPerfRecord>, String> {
-    Ok(net_baselines(path)?.workload)
-}
-
-/// Reads the last *fault-injection* record of the network series at
-/// `path`. `Ok(None)` means the file parses but no faults record exists
-/// yet (the population is new); callers seed the series instead of
-/// gating.
-pub fn last_net_faults_record(path: &str) -> Result<Option<NetPerfRecord>, String> {
-    Ok(net_baselines(path)?.faults)
 }
 
 /// Gates a fresh sweep measurement against a baseline record (serial
@@ -628,67 +516,16 @@ pub fn gate_sweep(baseline: &PerfRecord, measured: &PerfRecord, max_drop: f64) -
     )
 }
 
-/// Gates a fresh network measurement against a baseline record
-/// (tag·slots/s).
-pub fn gate_net(baseline: &NetPerfRecord, measured: &NetPerfRecord, max_drop: f64) -> GateOutcome {
-    compare(
-        "network tag-slots/s",
-        measured.tag_slots_per_sec,
-        &baseline.label,
-        baseline.tag_slots_per_sec,
-        max_drop,
-    )
-}
-
-/// Reads the last *metro-scale* record of the network series at
-/// `path`. `Ok(None)` means the file parses but no metro record exists
-/// yet (the population is new); callers seed the series instead of
-/// gating.
-pub fn last_net_metro_record(path: &str) -> Result<Option<NetPerfRecord>, String> {
-    Ok(net_baselines(path)?.metro)
-}
-
-/// Gates a fresh workload (trace-driven) measurement against a
-/// workload baseline record.
-pub fn gate_net_workload(
+/// Gates a fresh measurement of `case` against its population's
+/// baseline record (tag·slots/s).
+pub fn gate_net(
+    case: &NetCase,
     baseline: &NetPerfRecord,
     measured: &NetPerfRecord,
     max_drop: f64,
 ) -> GateOutcome {
     compare(
-        "workload tag-slots/s",
-        measured.tag_slots_per_sec,
-        &baseline.label,
-        baseline.tag_slots_per_sec,
-        max_drop,
-    )
-}
-
-/// Gates a fresh fault-injection measurement against a faults baseline
-/// record.
-pub fn gate_net_faults(
-    baseline: &NetPerfRecord,
-    measured: &NetPerfRecord,
-    max_drop: f64,
-) -> GateOutcome {
-    compare(
-        "faults tag-slots/s",
-        measured.tag_slots_per_sec,
-        &baseline.label,
-        baseline.tag_slots_per_sec,
-        max_drop,
-    )
-}
-
-/// Gates a fresh metro-scale measurement against a metro baseline
-/// record.
-pub fn gate_net_metro(
-    baseline: &NetPerfRecord,
-    measured: &NetPerfRecord,
-    max_drop: f64,
-) -> GateOutcome {
-    compare(
-        "metro tag-slots/s",
+        &format!("{} tag-slots/s", case.name),
         measured.tag_slots_per_sec,
         &baseline.label,
         baseline.tag_slots_per_sec,
@@ -781,15 +618,20 @@ mod tests {
             tag_slots_per_sec: tps,
             delivered: 1,
         };
-        // Saturated-only series: no workload baseline yet.
+        let labels = |b: Vec<Option<NetPerfRecord>>| -> Vec<Option<String>> {
+            b.into_iter().map(|r| r.map(|r| r.label)).collect()
+        };
+        // Saturated-only series: no other population has a baseline yet.
         let series = NetPerfSeries {
             series: vec![mk("old", 1.0), mk("new", 2.0)],
         };
         std::fs::write(path, serde_json::to_string_pretty(&series).unwrap()).unwrap();
-        assert_eq!(last_net_record(path).unwrap().label, "new");
-        assert!(last_net_workload_record(path).unwrap().is_none());
-        // Mixed series: each lookup finds its own population's last
-        // record, not the file's last record.
+        assert_eq!(
+            labels(net_baselines(path).unwrap()),
+            [Some("new".to_string()), None, None, None]
+        );
+        // Mixed series: each population finds its own last record, not
+        // the file's last record.
         let series = NetPerfSeries {
             series: vec![
                 mk("old", 1.0),
@@ -800,25 +642,16 @@ mod tests {
             ],
         };
         std::fs::write(path, serde_json::to_string_pretty(&series).unwrap()).unwrap();
-        assert_eq!(last_net_record(path).unwrap().label, "new");
         assert_eq!(
-            last_net_workload_record(path).unwrap().unwrap().label,
-            "ci+workload"
+            labels(net_baselines(path).unwrap()),
+            ["new", "ci+workload", "ci+faults", "pr9+metro"].map(|l| Some(l.to_string()))
         );
-        assert_eq!(
-            last_net_faults_record(path).unwrap().unwrap().label,
-            "ci+faults"
-        );
-        assert!(is_workload_label("ci+workload"));
-        assert!(!is_workload_label("ci"));
-        assert_eq!(
-            last_net_metro_record(path).unwrap().unwrap().label,
-            "pr9+metro"
-        );
-        assert!(is_faults_label("ci+faults"));
-        assert!(!is_faults_label("ci+workload"));
-        assert!(is_metro_label("pr9+metro"));
-        assert!(!is_metro_label("pr9"));
+        // A record joins the population whose suffix ends its label.
+        let names: Vec<&str> = ["ci", "ci+workload", "ci+faults", "pr9+metro", "pr9+metro!"]
+            .iter()
+            .map(|l| NET_CASES[case_of(l)].name)
+            .collect();
+        assert_eq!(names, ["network", "workload", "faults", "metro", "network"]);
         let _ = std::fs::remove_file(path);
     }
 
@@ -829,15 +662,10 @@ mod tests {
         let path = dir.join("BENCH_net.json");
         let path = path.to_str().unwrap();
         // A malformed file yields a single error from the one shared
-        // parse; every thin wrapper reports that same failure rather
-        // than four differently-worded ones.
+        // parse, not one per population.
         std::fs::write(path, "{ not json").unwrap();
         let err = net_baselines(path).unwrap_err();
         assert!(err.contains("not a net perf series"), "{err}");
-        assert_eq!(last_net_record(path).unwrap_err(), err);
-        assert_eq!(last_net_workload_record(path).unwrap_err(), err);
-        assert_eq!(last_net_faults_record(path).unwrap_err(), err);
-        assert_eq!(last_net_metro_record(path).unwrap_err(), err);
         // One parse populates every population slot.
         let mk = |label: &str| NetPerfRecord {
             unix_time: 0,
@@ -858,11 +686,12 @@ mod tests {
             ],
         };
         std::fs::write(path, serde_json::to_string_pretty(&series).unwrap()).unwrap();
-        let baselines = net_baselines(path).unwrap();
-        assert_eq!(baselines.net.unwrap().label, "b");
-        assert_eq!(baselines.workload.unwrap().label, "a+workload");
-        assert_eq!(baselines.faults.unwrap().label, "a+faults");
-        assert_eq!(baselines.metro.unwrap().label, "a+metro");
+        let baselines: Vec<String> = net_baselines(path)
+            .unwrap()
+            .into_iter()
+            .map(|r| r.expect("every population present").label)
+            .collect();
+        assert_eq!(baselines, ["b", "a+workload", "a+faults", "a+metro"]);
         let _ = std::fs::remove_file(path);
     }
 

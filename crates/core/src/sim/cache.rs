@@ -49,14 +49,13 @@ use super::scenario::{Scenario, SynthesisedPayload, Workload};
 use crate::modem::Bitrate;
 use fmbs_audio::program::ProgramKind;
 use fmbs_dsp::complex::Complex;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Host-audio cache key: every input of the
 /// [`Scenario::host_audio_uncached`] derivation.
@@ -370,7 +369,7 @@ impl SweepCache {
         V: Clone + Send + Sync + 'static,
     {
         let cell = {
-            let mut store = self.derived.lock();
+            let mut store = locked(&self.derived);
             let map = store
                 .0
                 .entry(TypeId::of::<DerivedMap<K, V>>())
@@ -404,7 +403,7 @@ impl SweepCache {
             n,
             rate_bits: rate.to_bits(),
         };
-        if let Some(hit) = self.host.lock().get(&key).cloned() {
+        if let Some(hit) = locked(&self.host).get(&key).cloned() {
             self.host_hits.fetch_add(1, Ordering::Relaxed);
             fmbs_obs::counter!("cache.host_hits");
             return (*hit).clone();
@@ -414,7 +413,7 @@ impl SweepCache {
         self.host_misses.fetch_add(1, Ordering::Relaxed);
         fmbs_obs::counter!("cache.host_misses");
         let computed = s.host_audio_uncached(rate, n);
-        self.host.lock().insert(key, Arc::new(computed.clone()));
+        locked(&self.host).insert(key, Arc::new(computed.clone()));
         computed
     }
 
@@ -441,7 +440,7 @@ impl SweepCache {
             f_back_bits: scenario.f_back_hz.to_bits(),
             stereo_band: scenario.workload.stereo_band(),
         };
-        if let Some(hit) = self.front_end.lock().get(&key).cloned() {
+        if let Some(hit) = locked(&self.front_end).get(&key).cloned() {
             self.front_end_hits.fetch_add(1, Ordering::Relaxed);
             fmbs_obs::counter!("cache.front_end_hits");
             return hit;
@@ -453,7 +452,7 @@ impl SweepCache {
         // ([`FRONT_END_MAX_SAMPLES`]); the computed value is returned
         // either way, so the cap never changes results.
         let samples = computed.0.len() + computed.1.len();
-        let mut map = self.front_end.lock();
+        let mut map = locked(&self.front_end);
         if self.front_end_samples.load(Ordering::Relaxed) + samples <= FRONT_END_MAX_SAMPLES
             && map.insert(key, computed.clone()).is_none()
         {
@@ -465,7 +464,7 @@ impl SweepCache {
     /// The [`Workload::synthesise`] derivation, memoised.
     pub fn payload(&self, w: &Workload, rate: f64) -> SynthesisedPayload {
         let key = (PayloadKey::new(w), rate.to_bits());
-        if let Some(hit) = self.payload.lock().get(&key).cloned() {
+        if let Some(hit) = locked(&self.payload).get(&key).cloned() {
             self.payload_hits.fetch_add(1, Ordering::Relaxed);
             fmbs_obs::counter!("cache.payload_hits");
             return (*hit).clone();
@@ -475,9 +474,15 @@ impl SweepCache {
         self.payload_misses.fetch_add(1, Ordering::Relaxed);
         fmbs_obs::counter!("cache.payload_misses");
         let computed = w.synthesise_uncached(rate);
-        self.payload.lock().insert(key, Arc::new(computed.clone()));
+        locked(&self.payload).insert(key, Arc::new(computed.clone()));
         computed
     }
+}
+
+/// Locks one of the cache's maps.
+fn locked<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock()
+        .expect("a sweep worker panicked while holding a cache lock")
 }
 
 thread_local! {

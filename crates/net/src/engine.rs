@@ -28,11 +28,10 @@
 //! run seed and the tag id), so a draw's value depends only on how many
 //! draws that tag has made, never on global interleaving.
 
-use crate::deploy::{city_occupancy, HarvestProfile, SiteMap};
+use crate::deploy::{city_occupancy, HarvestProfile};
 use crate::faults::{FaultSchedule, FaultSpec};
 use crate::link::BerTable;
 use fmbs_core::modem::Bitrate;
-use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_fm::band::{BandOccupancy, Channel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -305,7 +304,12 @@ pub enum Traffic {
     Trace(Arc<ArrivalTrace>),
 }
 
-/// Everything that parameterises one network run.
+/// Cap on the binary-exponential backoff exponent: a colliding tag
+/// waits at most `2^MAX_BACKOFF_EXP` slots before retrying.
+pub const MAX_BACKOFF_EXP: u32 = 8;
+
+/// Everything that parameterises one network run. Build it through
+/// [`crate::topology::Deployment`], which validates it.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Number of deployed tags.
@@ -328,8 +332,6 @@ pub struct NetworkConfig {
     pub harvest: HarvestProfile,
     /// Energy storage per tag in µJ (tags start full).
     pub storage_uj: f64,
-    /// Cap on the binary-exponential backoff exponent.
-    pub max_backoff_exp: u32,
     /// Whether frames carry the rate-1/2 FEC of
     /// [`fmbs_core::modem::fec`] (overlay links have a ~2% raw-BER
     /// interference floor, so uncoded frames of useful length rarely
@@ -376,7 +378,6 @@ impl NetworkConfig {
             occupancy: city_occupancy(Channel(17), fmbs_core::DEFAULT_F_BACK_HZ),
             harvest: HarvestProfile::Mains,
             storage_uj: 40.0,
-            max_backoff_exp: 8,
             coding: true,
             seed: 0x5EED,
             record_trace: false,
@@ -385,28 +386,6 @@ impl NetworkConfig {
             drop_expired: false,
             faults: FaultSpec::none(),
             arq: None,
-        }
-    }
-
-    /// Builds the config a [`Scenario`] describes: `n_tags`,
-    /// `mac_slots`, `f_back_hz` (as the channel plan's guard ring),
-    /// ambient power, distance (as the deployment radius) and the data
-    /// workload's bitrate all come from the scenario, which is what lets
-    /// the sweep engine treat network axes like any other axis.
-    pub fn from_scenario(s: &Scenario) -> Self {
-        let bitrate = match s.workload {
-            Workload::Data { bitrate, .. } => bitrate,
-            _ => Bitrate::Kbps1_6,
-        };
-        NetworkConfig {
-            n_tags: s.n_tags.max(1) as usize,
-            n_slots: s.mac_slots.max(1) as u64,
-            bitrate,
-            cell_radius_ft: s.distance_ft.max(1.0),
-            mean_power_dbm: s.ambient_at_tag.0,
-            occupancy: city_occupancy(Channel(17), s.f_back_hz),
-            seed: s.seed,
-            ..NetworkConfig::new(1, 1)
         }
     }
 
@@ -595,84 +574,6 @@ struct TagState {
     fallback: bool,
 }
 
-/// The network simulator: a config plus the link table it reads BER
-/// from. `run` is a pure function of both, so one instance can be shared
-/// across sweep workers.
-#[derive(Debug, Clone)]
-pub struct NetworkSim {
-    cfg: NetworkConfig,
-    table: Arc<BerTable>,
-    packets: Arc<crate::link::PacketModel>,
-}
-
-impl NetworkSim {
-    /// Builds a simulator over a calibrated link table. The packet-level
-    /// FEC survival curve is measured here, once per simulator — it is a
-    /// property of the code and the frame length, not of the run seed.
-    pub fn new(cfg: NetworkConfig, table: Arc<BerTable>) -> Self {
-        let packets = Arc::new(crate::link::PacketModel::for_frame(
-            cfg.packet_bits,
-            cfg.coding,
-        ));
-        Self::with_packet_model(cfg, table, packets)
-    }
-
-    /// Builds a simulator over a pre-measured packet model — the form
-    /// sweep metrics use, so one FEC Monte-Carlo serves a whole grid
-    /// instead of re-running per point.
-    pub fn with_packet_model(
-        cfg: NetworkConfig,
-        table: Arc<BerTable>,
-        packets: Arc<crate::link::PacketModel>,
-    ) -> Self {
-        NetworkSim {
-            cfg,
-            table,
-            packets,
-        }
-    }
-
-    /// The configuration this simulator runs.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
-    /// The next rate below `b` in [`Bitrate::ALL`].
-    fn step_down(b: Bitrate) -> Option<Bitrate> {
-        let i = Bitrate::ALL.iter().position(|&x| x == b)?;
-        (i > 0).then(|| Bitrate::ALL[i - 1])
-    }
-
-    /// Runs the deployment to the slot horizon.
-    pub fn run(&self) -> NetRun {
-        fmbs_obs::span!(fmbs_obs::stages::NET_ENGINE);
-        let cfg = &self.cfg;
-        let deployment = SiteMap::generate(
-            cfg.n_tags,
-            cfg.cell_radius_ft,
-            cfg.mean_power_dbm,
-            &cfg.occupancy,
-            cfg.host,
-            cfg.harvest,
-            cfg.slot_secs(),
-            cfg.storage_uj,
-            cfg.seed,
-        );
-        let mut d = DomainSim::new(
-            cfg.clone(),
-            &self.table,
-            self.packets.clone(),
-            &deployment.sites,
-            deployment.n_channels,
-        );
-        while let Some(slot) = d.peek_slot() {
-            d.gather(slot);
-            d.resolve(slot, None);
-        }
-        d.finish()
-    }
-}
-
 /// Cross-domain inputs injected into one slot's resolution by the metro
 /// engine ([`crate::topology`]). The single-receiver path passes `None`
 /// and keeps the exact pre-metro draw order.
@@ -726,12 +627,11 @@ pub fn capture_winner(attempts: &[u32], rx_dbm: &[f64], margin_db: f64) -> Optio
 
 /// One collision domain's complete engine state, stepped slot by slot.
 ///
-/// The single-receiver [`NetworkSim::run`] drives exactly one of these
-/// (so the pre-metro figures stay bit-identical), and the metro engine
-/// in [`crate::topology`] drives one per receiver cell in lockstep,
-/// exchanging co-channel transmit counts at slot barriers. Tag indices
-/// are *local* to the domain; the metro layer owns the local→global
-/// mapping.
+/// [`crate::topology::CitySim`] drives exactly one of these for a
+/// single-receiver plan, and one per receiver cell in lockstep for a
+/// metro plan, exchanging co-channel transmit counts at slot barriers.
+/// Tag indices are *local* to the domain; the metro layer owns the
+/// local→global mapping.
 pub(crate) struct DomainSim {
     cfg: NetworkConfig,
     packets: Arc<crate::link::PacketModel>,
@@ -771,7 +671,7 @@ impl DomainSim {
         let fb_plan: Option<(Bitrate, u64)> = cfg.arq.as_ref().and_then(|a| {
             let fb = a
                 .fallback_bitrate
-                .or_else(|| NetworkSim::step_down(cfg.bitrate))?;
+                .or_else(|| Self::step_down(cfg.bitrate))?;
             let stretch = (cfg.bitrate.bits_per_second() / fb.bits_per_second())
                 .ceil()
                 .max(1.0) as u64;
@@ -897,6 +797,22 @@ impl DomainSim {
             }
         }
         d
+    }
+
+    /// The next rate below `b` in [`Bitrate::ALL`].
+    fn step_down(b: Bitrate) -> Option<Bitrate> {
+        let i = Bitrate::ALL.iter().position(|&x| x == b)?;
+        (i > 0).then(|| Bitrate::ALL[i - 1])
+    }
+
+    /// Runs the domain to the slot horizon on its own — the
+    /// single-receiver plan, where no other domain shares a slot.
+    pub(crate) fn run_alone(mut self) -> NetRun {
+        while let Some(slot) = self.peek_slot() {
+            self.gather(slot);
+            self.resolve(slot, None);
+        }
+        self.finish()
     }
 
     /// The slot of the earliest queued event (`None` = domain drained).
@@ -1204,7 +1120,7 @@ impl DomainSim {
                     (Outcome::Collided, next)
                 } else {
                     self.stats.collided += 1;
-                    t.backoff_exp = (t.backoff_exp + 1).min(self.cfg.max_backoff_exp);
+                    t.backoff_exp = (t.backoff_exp + 1).min(MAX_BACKOFF_EXP);
                     let window = 1u64 << t.backoff_exp;
                     let delay = t.rng.gen_range(0..window);
                     (Outcome::Collided, Some(slot + 1 + delay))
@@ -1372,7 +1288,7 @@ impl DomainSim {
             }
         } else {
             t.pkt_attempts += 1;
-            t.backoff_exp = (t.backoff_exp + 1).min(cfg.max_backoff_exp);
+            t.backoff_exp = (t.backoff_exp + 1).min(MAX_BACKOFF_EXP);
             let window = 1u64 << t.backoff_exp;
             let delay = t.rng.gen_range(0..window);
             Some(resume + delay)
@@ -1384,6 +1300,7 @@ impl DomainSim {
 mod tests {
     use super::*;
     use crate::link::{BerTable, BerTableSpec};
+    use crate::topology::{Deployment, MetroRun};
     use fmbs_core::harvest::Illumination;
     use fmbs_core::sim::fast::FastSim;
 
@@ -1394,6 +1311,16 @@ mod tests {
             vec![Bitrate::Kbps1_6],
             vec![0.0, 2e-4, 1e-4, 2e-3],
         ))
+    }
+
+    /// Builds and runs `d` over `table` (single receiver, one domain).
+    fn run(d: Deployment, table: Arc<BerTable>) -> MetroRun {
+        d.build().expect("valid deployment").into_sim(table).run()
+    }
+
+    /// `Deployment::city(n_tags).slots(n_slots)`: the classic cell.
+    fn cell(n_tags: usize, n_slots: u64) -> Deployment {
+        Deployment::city(n_tags).slots(n_slots)
     }
 
     #[test]
@@ -1410,9 +1337,7 @@ mod tests {
 
     #[test]
     fn single_tag_saturates_its_channel() {
-        let mut cfg = NetworkConfig::new(1, 400);
-        cfg.record_trace = true;
-        let run = NetworkSim::new(cfg, table()).run();
+        let run = run(cell(1, 400).record_trace(true), table());
         // One tag, no contention: it transmits in nearly every slot
         // after its start, and most packets survive the link.
         assert!(run.stats.attempts > 350, "{:?}", run.stats);
@@ -1424,8 +1349,7 @@ mod tests {
 
     #[test]
     fn contention_causes_collisions_and_backoff_resolves_them() {
-        let cfg = NetworkConfig::new(300, 400);
-        let run = NetworkSim::new(cfg, table()).run();
+        let run = run(cell(300, 400), table());
         assert!(run.stats.collided > 0, "300 tags must collide sometimes");
         assert!(run.stats.delivered > 0, "backoff must still deliver");
         assert!(run.stats.collision_rate() < 1.0);
@@ -1435,10 +1359,7 @@ mod tests {
 
     #[test]
     fn goodput_grows_with_tags_until_contention() {
-        let at = |n: usize| {
-            let run = NetworkSim::new(NetworkConfig::new(n, 300), table()).run();
-            run.stats.goodput_bps()
-        };
+        let at = |n: usize| run(cell(n, 300), table()).stats.goodput_bps();
         // A handful of tags on ~60 free channels: nearly linear scaling.
         let one = at(1);
         let ten = at(10);
@@ -1447,12 +1368,13 @@ mod tests {
 
     #[test]
     fn starved_harvester_duty_cycles_the_tag() {
-        let mut cfg = NetworkConfig::new(1, 2_000);
-        cfg.harvest = HarvestProfile::Solar(Illumination::Streetlight);
-        cfg.storage_uj = 4.0;
-        let duty_run = NetworkSim::new(cfg.clone(), table()).run();
-        cfg.harvest = HarvestProfile::Mains;
-        let mains_run = NetworkSim::new(cfg, table()).run();
+        let d = cell(1, 2_000).storage(4.0);
+        let duty_run = run(
+            d.clone()
+                .harvest(HarvestProfile::Solar(Illumination::Streetlight)),
+            table(),
+        );
+        let mains_run = run(d.harvest(HarvestProfile::Mains), table());
         assert!(duty_run.stats.starved_slots > 0, "{:?}", duty_run.stats);
         assert!(
             duty_run.stats.delivered * 4 < mains_run.stats.delivered,
@@ -1467,29 +1389,26 @@ mod tests {
 
     #[test]
     fn same_seed_runs_are_trace_identical() {
-        let mut cfg = NetworkConfig::new(120, 250);
-        cfg.record_trace = true;
-        let a = NetworkSim::new(cfg.clone(), table()).run();
-        let b = NetworkSim::new(cfg.clone(), table()).run();
+        let d = cell(120, 250).record_trace(true);
+        let a = run(d.clone(), table());
+        let b = run(d.clone(), table());
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.stats.delivered, b.stats.delivered);
         assert_eq!(a.stats.latencies_slots, b.stats.latencies_slots);
-        cfg.seed ^= 1;
-        let c = NetworkSim::new(cfg, table()).run();
+        let seed = d.network_config().seed ^ 1;
+        let c = run(d.seed(seed), table());
         assert_ne!(a.trace, c.trace, "different seed must change the trace");
     }
 
     #[test]
     fn trace_cap_truncates_with_explicit_accounting() {
-        let mut cfg = NetworkConfig::new(4, 300);
-        cfg.record_trace = true;
-        let full = NetworkSim::new(cfg.clone(), table()).run();
+        let d = cell(4, 300).record_trace(true);
+        let full = run(d.clone(), table());
         assert!(!full.trace.truncated());
         assert_eq!(full.trace.dropped(), 0);
         let total = full.trace.len();
         assert!(total > 16, "need enough events to truncate");
-        cfg.trace_cap = 16;
-        let capped = NetworkSim::new(cfg, table()).run();
+        let capped = run(d.trace_cap(16), table());
         // The cap keeps a prefix and accounts for every cut event —
         // nothing disappears silently, and the run itself is unchanged.
         assert_eq!(capped.trace.len(), 16);
@@ -1502,18 +1421,34 @@ mod tests {
 
     #[test]
     fn from_scenario_reads_the_network_axes() {
+        use crate::topology::Receiver;
         use fmbs_audio::program::ProgramKind;
-        use fmbs_core::sim::scenario::Scenario;
+        use fmbs_core::sim::scenario::{Scenario, Workload};
         let mut s = Scenario::bench(-35.0, 12.0, ProgramKind::News)
             .with_workload(Workload::data(Bitrate::Kbps3_2, 100));
         s.n_tags = 40;
         s.mac_slots = 777;
-        let cfg = NetworkConfig::from_scenario(&s);
+        let template = Deployment::city(5)
+            .receivers(Receiver::grid(2, 2, 300.0))
+            .harvest(HarvestProfile::RfAmbient)
+            .storage(12.0)
+            .packet_bits(512)
+            .record_trace(true);
+        let d = template.for_scenario(&s);
+        let cfg = d.network_config();
         assert_eq!(cfg.n_tags, 40);
         assert_eq!(cfg.n_slots, 777);
         assert_eq!(cfg.bitrate, Bitrate::Kbps3_2);
         assert_eq!(cfg.mean_power_dbm, -35.0);
         assert_eq!(cfg.cell_radius_ft, 12.0);
+        assert_eq!(cfg.seed, s.seed);
+        // The template keeps its energy and framing knobs; everything
+        // else is the classic single cell's default.
+        assert_eq!(cfg.harvest, HarvestProfile::RfAmbient);
+        assert_eq!(cfg.storage_uj, 12.0);
+        assert_eq!(cfg.packet_bits, 512);
+        assert!(!cfg.record_trace);
+        assert!(!d.build().expect("valid").is_metro(), "one receiver");
     }
 
     fn trace_of(per_tag: Vec<Vec<(u64, u32)>>) -> Traffic {
@@ -1534,9 +1469,8 @@ mod tests {
 
     #[test]
     fn empty_queue_keeps_a_tag_idle() {
-        let mut cfg = NetworkConfig::new(2, 300);
-        cfg.traffic = trace_of(vec![vec![(5, 50), (40, 50)], vec![]]);
-        let run = NetworkSim::new(cfg, table()).run();
+        let d = cell(2, 300).traffic(trace_of(vec![vec![(5, 50), (40, 50)], vec![]]));
+        let run = run(d, table());
         assert_eq!(run.stats.offered, 2);
         assert!(run.stats.delivered <= 2);
         assert_eq!(run.stats.per_tag_delivered[1], 0, "no traffic, no frames");
@@ -1551,9 +1485,10 @@ mod tests {
     fn sojourn_counts_queueing_delay() {
         // A burst of 4 packets arriving together must drain serially, so
         // later deliveries carry queueing delay: sojourns strictly grow.
-        let mut cfg = NetworkConfig::new(1, 500);
-        cfg.traffic = trace_of(vec![vec![(10, 100); 4]]);
-        let run = NetworkSim::new(cfg, table()).run();
+        let run = run(
+            cell(1, 500).traffic(trace_of(vec![vec![(10, 100); 4]])),
+            table(),
+        );
         assert!(run.stats.delivered >= 2, "{:?}", run.stats);
         let s = &run.stats.sojourn_slots;
         assert!(s.windows(2).all(|w| w[0] < w[1]), "{s:?}");
@@ -1579,19 +1514,17 @@ mod tests {
         // `drop_expired` must not shed it. The second same-slot packet
         // can only transmit a slot later — strictly past its deadline —
         // so it is shed.
-        let mut cfg = NetworkConfig::new(1, 100);
-        cfg.traffic = trace_of(vec![vec![(5, 0), (5, 0)]]);
-        cfg.drop_expired = true;
-        let run = NetworkSim::new(cfg.clone(), perfect_table()).run();
-        assert_eq!(run.stats.attempts, 1, "{:?}", run.stats);
-        assert_eq!(run.stats.delivered, 1);
-        assert_eq!(run.stats.on_time, 1, "deadline slot itself is on-time");
-        assert_eq!(run.stats.expired_dropped, 1);
-        assert!(run.stats.queue_conserved(), "{:?}", run.stats);
+        let d = cell(1, 100).traffic(trace_of(vec![vec![(5, 0), (5, 0)]]));
+        let run_shed = run(d.clone().drop_expired(true), perfect_table());
+        let stats = &run_shed.stats;
+        assert_eq!(stats.attempts, 1, "{stats:?}");
+        assert_eq!(stats.delivered, 1);
+        assert_eq!(stats.on_time, 1, "deadline slot itself is on-time");
+        assert_eq!(stats.expired_dropped, 1);
+        assert!(stats.queue_conserved(), "{stats:?}");
         // Without shedding, the late second packet still transmits and
         // still misses its deadline.
-        cfg.drop_expired = false;
-        let late = NetworkSim::new(cfg, perfect_table()).run();
+        let late = run(d.drop_expired(false), perfect_table());
         assert_eq!(late.stats.delivered, 2);
         assert_eq!(late.stats.on_time, 1);
         assert!(late.stats.queue_conserved(), "{:?}", late.stats);
@@ -1604,10 +1537,10 @@ mod tests {
         // the radio. The queue head arriving at slot 0 transmits at
         // slot 0 (its deadline slot — on-time); the three behind it are
         // already expired by the time the tag returns at slot 1.
-        let mut cfg = NetworkConfig::new(1, 100);
-        cfg.traffic = trace_of(vec![vec![(0, 0), (0, 0), (0, 0), (0, 0)]]);
-        cfg.drop_expired = true;
-        let run = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let d = cell(1, 100)
+            .traffic(trace_of(vec![vec![(0, 0), (0, 0), (0, 0), (0, 0)]]))
+            .drop_expired(true);
+        let run = run(d, perfect_table());
         assert_eq!(run.stats.attempts, 1, "shed before keying the radio");
         assert_eq!(run.stats.delivered, 1);
         assert_eq!(run.stats.expired_dropped, 3);
@@ -1626,17 +1559,17 @@ mod tests {
             vec![Bitrate::Kbps1_6],
             vec![8e-2; 4],
         ));
-        let mut cfg = NetworkConfig::new(40, 600);
-        cfg.arq = Some(ArqConfig {
-            max_retx: 2,
-            ..ArqConfig::default()
-        });
-        cfg.traffic = trace_of(
-            (0..40)
-                .map(|_| (0..8).map(|k| (40 * k, 400u32)).collect())
-                .collect(),
-        );
-        let run = NetworkSim::new(cfg, lossy).run();
+        let d = cell(40, 600)
+            .arq(ArqConfig {
+                max_retx: 2,
+                ..ArqConfig::default()
+            })
+            .traffic(trace_of(
+                (0..40)
+                    .map(|_| (0..8).map(|k| (40 * k, 400u32)).collect())
+                    .collect(),
+            ));
+        let run = run(d, lossy);
         assert!(run.stats.retransmissions > 0, "{:?}", run.stats);
         assert_eq!(run.stats.acked, run.stats.delivered);
         assert!(run.stats.abandoned > 0, "budget of 2 must exhaust");
@@ -1648,11 +1581,12 @@ mod tests {
         // An interference burst forces consecutive losses; the tag must
         // fall back (rate_fallback_slots grows) and, once the burst
         // clears, recover the nominal rate and keep delivering.
-        let mut cfg = NetworkConfig::new(1, 800);
-        cfg.arq = Some(ArqConfig::default());
-        cfg.faults = FaultSpec::none().with_bursts(1, 120, 0.5);
-        cfg.record_trace = true;
-        let run = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let d = cell(1, 800)
+            .arq(ArqConfig::default())
+            .faults(FaultSpec::none().with_bursts(1, 120, 0.5))
+            .record_trace(true);
+        let cfg = d.network_config().clone();
+        let run = run(d, perfect_table());
         assert!(run.stats.rate_fallback_slots > 0, "{:?}", run.stats);
         assert!(run.stats.delivered > 0);
         // The fallback link rides the same calibrated table (here via
@@ -1671,27 +1605,27 @@ mod tests {
 
     #[test]
     fn station_outage_silences_the_deployment_and_rf_harvest() {
-        let mut cfg = NetworkConfig::new(8, 600);
-        cfg.faults = FaultSpec::none().with_outages(1, 150);
-        cfg.record_trace = true;
-        let run = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let d = cell(8, 600)
+            .faults(FaultSpec::none().with_outages(1, 150))
+            .record_trace(true);
+        let cfg = d.network_config().clone();
+        let run_out = run(d.clone(), perfect_table());
         let sched = cfg.faults.schedule(cfg.n_slots, cfg.n_tags);
         let w = sched.outages[0];
         assert!(
-            run.trace
+            run_out
+                .trace
                 .iter()
                 .filter(|e| w.contains(e.slot))
                 .all(|e| e.outcome() != Some(Outcome::Delivered)),
             "no carrier, no deliveries inside the outage"
         );
-        assert!(run.stats.delivered > 0, "recovers outside the window");
+        assert!(run_out.stats.delivered > 0, "recovers outside the window");
         // RF-harvesting tags also stop charging: the outage shows up as
         // extra starvation relative to the fault-free run.
-        cfg.harvest = HarvestProfile::RfAmbient;
-        cfg.storage_uj = 2.0;
-        let faulted = NetworkSim::new(cfg.clone(), perfect_table()).run();
-        cfg.faults = FaultSpec::none();
-        let clean = NetworkSim::new(cfg, perfect_table()).run();
+        let rf = d.harvest(HarvestProfile::RfAmbient).storage(2.0);
+        let faulted = run(rf.clone(), perfect_table());
+        let clean = run(rf.faults(FaultSpec::none()), perfect_table());
         assert!(
             faulted.stats.delivered <= clean.stats.delivered,
             "outage cannot add deliveries: {} vs {}",
@@ -1702,12 +1636,14 @@ mod tests {
 
     #[test]
     fn brownout_starves_harvest_limited_tags() {
-        let mut cfg = NetworkConfig::new(1, 2_000);
-        cfg.harvest = HarvestProfile::Solar(Illumination::Streetlight);
-        cfg.storage_uj = 4.0;
-        let clean = NetworkSim::new(cfg.clone(), perfect_table()).run();
-        cfg.faults = FaultSpec::none().with_brownouts(2, 400, 0.1);
-        let browned = NetworkSim::new(cfg, perfect_table()).run();
+        let d = cell(1, 2_000)
+            .harvest(HarvestProfile::Solar(Illumination::Streetlight))
+            .storage(4.0);
+        let clean = run(d.clone(), perfect_table());
+        let browned = run(
+            d.faults(FaultSpec::none().with_brownouts(2, 400, 0.1)),
+            perfect_table(),
+        );
         assert!(
             browned.stats.delivered < clean.stats.delivered,
             "brownout {} vs clean {}",
@@ -1722,15 +1658,15 @@ mod tests {
         // One arrival per slot against an ARQ service rate of one
         // packet per two slots (attempt + ACK wait): the backlog grows,
         // so a reset always finds arrived-but-undelivered heads to wipe.
-        let mut cfg = NetworkConfig::new(4, 400);
-        cfg.arq = Some(ArqConfig::default());
-        cfg.faults = FaultSpec::none().with_resets(12);
-        cfg.traffic = trace_of(
-            (0..4)
-                .map(|_| (0..200).map(|k| (k, 300u32)).collect())
-                .collect(),
-        );
-        let run = NetworkSim::new(cfg, perfect_table()).run();
+        let d = cell(4, 400)
+            .arq(ArqConfig::default())
+            .faults(FaultSpec::none().with_resets(12))
+            .traffic(trace_of(
+                (0..4)
+                    .map(|_| (0..200).map(|k| (k, 300u32)).collect())
+                    .collect(),
+            ));
+        let run = run(d, perfect_table());
         assert!(run.stats.abandoned > 0, "{:?}", run.stats);
         assert!(run.stats.queue_conserved(), "{:?}", run.stats);
     }
@@ -1739,11 +1675,9 @@ mod tests {
     fn zero_fault_spec_is_invisible_whatever_its_seed() {
         // The fault layer must be bit-invisible when it injects nothing:
         // different *fault* seeds, identical traces.
-        let mut cfg = NetworkConfig::new(60, 300);
-        cfg.record_trace = true;
-        let base = NetworkSim::new(cfg.clone(), table()).run();
-        cfg.faults = FaultSpec::none().with_seed(0xDEAD_BEEF);
-        let refitted = NetworkSim::new(cfg, table()).run();
+        let d = cell(60, 300).record_trace(true);
+        let base = run(d.clone(), table());
+        let refitted = run(d.faults(FaultSpec::none().with_seed(0xDEAD_BEEF)), table());
         assert_eq!(base.trace, refitted.trace);
         assert_eq!(base.stats.delivered, refitted.stats.delivered);
         assert_eq!(base.stats.latencies_slots, refitted.stats.latencies_slots);
@@ -1751,19 +1685,17 @@ mod tests {
 
     #[test]
     fn faulted_runs_are_same_seed_deterministic() {
-        let mut cfg = NetworkConfig::new(80, 400);
-        cfg.record_trace = true;
-        cfg.arq = Some(ArqConfig::default());
-        cfg.faults = FaultSpec::none()
+        let faults = FaultSpec::none()
             .with_outages(1, 60)
             .with_bursts(2, 40, 0.05)
             .with_resets(6);
-        let a = NetworkSim::new(cfg.clone(), table()).run();
-        let b = NetworkSim::new(cfg.clone(), table()).run();
+        let d = cell(80, 400).record_trace(true).arq(ArqConfig::default());
+        let a = run(d.clone().faults(faults.clone()), table());
+        let b = run(d.clone().faults(faults.clone()), table());
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.stats.abandoned, b.stats.abandoned);
-        cfg.faults.seed ^= 1;
-        let c = NetworkSim::new(cfg, table()).run();
+        let reseeded = faults.clone().with_seed(faults.seed ^ 1);
+        let c = run(d.faults(reseeded), table());
         assert_ne!(a.trace, c.trace, "fault seed must move the windows");
     }
 
@@ -1774,16 +1706,16 @@ mod tests {
         let arrivals: Vec<Vec<(u64, u32)>> = (0..200)
             .map(|_| (0..5).map(|k| (37 * k, 60u32)).collect())
             .collect();
-        let mut cfg = NetworkConfig::new(200, 300);
-        cfg.traffic = trace_of(arrivals);
-        cfg.record_trace = true;
-        let a = NetworkSim::new(cfg.clone(), table()).run();
-        let b = NetworkSim::new(cfg.clone(), table()).run();
+        let d = cell(200, 300)
+            .traffic(trace_of(arrivals))
+            .record_trace(true);
+        let a = run(d.clone(), table());
+        let b = run(d.clone(), table());
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.stats.sojourn_slots, b.stats.sojourn_slots);
         assert!(a.stats.queue_conserved(), "{:?}", a.stats);
-        cfg.seed ^= 1;
-        let c = NetworkSim::new(cfg, table()).run();
+        let seed = d.network_config().seed ^ 1;
+        let c = run(d.seed(seed), table());
         assert_ne!(a.trace, c.trace, "different seed must change the trace");
     }
 
@@ -1802,7 +1734,7 @@ mod tests {
                 seed: 9,
             },
         ));
-        let run = NetworkSim::new(NetworkConfig::new(20, 200), table).run();
+        let run = run(cell(20, 200), table);
         assert!(run.stats.delivered > 0);
     }
 }

@@ -32,11 +32,17 @@
 //!   (band occupancy, stations, receiver grids, harvest, placement)
 //!   loaded and validated into [`topology::Deployment`]s, the input to
 //!   `repro --campaign`.
+//! * [`topology`] — the one way to build and run a network: the
+//!   [`topology::Deployment`] builder validates and compiles to a
+//!   [`topology::CityPlan`], which [`topology::CitySim`] runs — one
+//!   collision domain for a single receiver cell, sharded domains on a
+//!   worker pool for a receiver grid.
 //! * [`metrics`] — network [`fmbs_core::sim::metric::Metric`]s
 //!   (goodput, collision rate, Jain fairness, latency percentiles) that
 //!   plug straight into [`fmbs_core::sim::sweep::SweepBuilder`], making
 //!   `n_tags`, `mac_slot_counts` and `f_backs_hz` sweepable axes with
-//!   the engine's usual parallel == serial bit-identity.
+//!   the engine's usual parallel == serial bit-identity. Each sweep
+//!   point runs [`topology::Deployment::for_scenario`] over a template.
 //!
 //! ```
 //! use fmbs_audio::program::ProgramKind;
@@ -49,12 +55,22 @@
 //!
 //! // Calibrate the link abstraction from the fast physics tier once...
 //! let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
-//! // ...then sweep a deployment axis through the ordinary engine.
+//! // ...run one deployment...
+//! let run = Deployment::city(64)
+//!     .slots(300)
+//!     .build()
+//!     .expect("valid deployment")
+//!     .into_sim(table.clone())
+//!     .run();
+//! assert!(run.stats.delivered > 0);
+//! // ...or sweep a deployment axis through the ordinary engine, with a
+//! // template deployment that carries the link table.
 //! let base = Scenario::bench(-40.0, 12.0, ProgramKind::News)
 //!     .with_workload(Workload::data(Bitrate::Kbps1_6, 256));
+//! let spec = NetSpec::new(Deployment::city(1).link(table));
 //! let results = SweepBuilder::new(base)
 //!     .n_tags([8, 64])
-//!     .run(&FastSim, &NetGoodput(NetSpec::new(table)));
+//!     .run(&FastSim, &NetGoodput(spec));
 //! assert_eq!(results.points.len(), 2);
 //! assert!(results.points.iter().all(|p| p.value > 0.0));
 //! ```
@@ -76,7 +92,7 @@ pub mod prelude {
     pub use crate::deploy::{city_occupancy, HarvestProfile, SiteMap, TagSite};
     pub use crate::engine::{
         ArqConfig, Arrival, ArrivalTrace, Event, EventQueue, EventTrace, NetRun, NetStats,
-        NetworkConfig, NetworkSim, Outcome, TraceEvent, TraceKind, Traffic,
+        NetworkConfig, Outcome, TraceEvent, TraceKind, Traffic,
     };
     pub use crate::faults::{recovery_time_slots, FaultKind, FaultSchedule, FaultSpec, Window};
     pub use crate::link::{BerTable, BerTableSpec, TableDelta, TableDeltaCell};

@@ -1,161 +1,71 @@
 //! Network-level [`Metric`] implementations.
 //!
-//! Each metric wraps a [`NetSpec`] — the calibrated link table plus the
-//! MAC/energy knobs a [`Scenario`] does not carry — and measures one
-//! aspect of the deployment the scenario describes. Because they
-//! implement the ordinary [`Metric`] trait, the existing
+//! Each metric wraps a [`NetSpec`] — a template [`Deployment`] carrying
+//! the calibrated link table and the MAC/energy knobs a [`Scenario`]
+//! does not — and measures one aspect of the deployment
+//! [`Deployment::for_scenario`] derives from each scenario. Because
+//! they implement the ordinary [`Metric`] trait, the existing
 //! [`fmbs_core::sim::sweep::SweepBuilder`] engine sweeps network axes
 //! (`n_tags`, `mac_slot_counts`, `f_backs_hz`, power, radius) exactly
 //! like physics axes, with the same parallel == serial bit-identity.
 //!
 //! The `sim: &dyn Simulator` argument every metric receives is unused
 //! here by design: the per-packet physics was pre-sampled into the
-//! [`BerTable`] at calibration time — that substitution *is* the link
-//! abstraction.
+//! [`crate::link::BerTable`] at calibration time — that substitution
+//! *is* the link abstraction.
 
-use crate::deploy::HarvestProfile;
-use crate::engine::{ArqConfig, NetRun, NetStats, NetworkConfig, NetworkSim};
-use crate::faults::FaultSpec;
-use crate::link::{BerTable, PacketModel};
+use crate::engine::NetStats;
+use crate::topology::Deployment;
 use fmbs_core::sim::metric::Metric;
 use fmbs_core::sim::scenario::Scenario;
 use fmbs_core::sim::Simulator;
-use std::sync::Arc;
 
-/// Shared setup for the network metrics: the link table plus the knobs
-/// that stay fixed across a sweep.
+/// Shared setup for the network metrics: a validated template
+/// [`Deployment`] with its link table attached. Each scenario runs as
+/// `template.for_scenario(scenario)` through the one
+/// `build` → [`crate::topology::CitySim`] path.
 #[derive(Debug, Clone)]
-pub struct NetSpec {
-    /// The BER-calibrated link abstraction.
-    pub table: Arc<BerTable>,
-    /// What powers the tags.
-    pub harvest: HarvestProfile,
-    /// Packet length in bits.
-    pub packet_bits: u32,
-    /// Per-tag energy storage in µJ.
-    pub storage_uj: f64,
-    /// Deterministic fault plan every run inherits (zero-count — and
-    /// therefore invisible — by default).
-    pub faults: FaultSpec,
-    /// Link-layer ARQ; `None` keeps the fire-and-forget MAC.
-    pub arq: Option<ArqConfig>,
-    /// The frame-survival curve for `packet_bits` — measured once per
-    /// spec (see [`PacketModel::for_frame`]) so a sweep's grid points
-    /// share one FEC Monte-Carlo instead of re-running it per point.
-    packets: Arc<PacketModel>,
-}
+pub struct NetSpec(Deployment);
 
 impl NetSpec {
-    /// Mains-powered 256-bit packets over `table`.
-    pub fn new(table: Arc<BerTable>) -> Self {
-        let packet_bits = 256;
-        NetSpec {
-            table,
-            harvest: HarvestProfile::Mains,
-            packet_bits,
-            storage_uj: 40.0,
-            faults: FaultSpec::none(),
-            arq: None,
-            packets: Arc::new(PacketModel::for_frame(packet_bits, true)),
+    /// Wraps a template deployment.
+    ///
+    /// # Panics
+    /// On an invalid deployment (the
+    /// [`crate::topology::DeploymentError`] message is included) or
+    /// when no `.link(..)` table was attached — `Deployment::build` is
+    /// the non-panicking path.
+    pub fn new(template: Deployment) -> Self {
+        if let Err(e) = template.build() {
+            panic!("invalid Deployment: {e}");
         }
+        assert!(
+            template.link.is_some(),
+            "NetSpec needs a template with .link(table)"
+        );
+        NetSpec(template)
     }
 
-    /// Replaces the harvest profile.
-    pub fn with_harvest(mut self, harvest: HarvestProfile) -> Self {
-        self.harvest = harvest;
-        self
-    }
-
-    /// Replaces the fault plan.
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Switches the link-layer ARQ on.
-    pub fn with_arq(mut self, arq: ArqConfig) -> Self {
-        self.arq = Some(arq);
-        self
-    }
-
-    /// Replaces the packet length (re-measures the survival curve).
-    pub fn with_packet_bits(mut self, bits: u32) -> Self {
-        self.packet_bits = bits;
-        self.packets = Arc::new(PacketModel::for_frame(bits, true));
-        self
-    }
-
-    /// The [`NetworkConfig`] this spec runs `scenario` under — exposed
-    /// so the workload tier can read the slot duration and attach a
-    /// traffic trace before running.
-    pub fn config(&self, scenario: &Scenario) -> NetworkConfig {
-        let mut cfg = NetworkConfig::from_scenario(scenario);
-        cfg.harvest = self.harvest;
-        cfg.packet_bits = self.packet_bits;
-        cfg.storage_uj = self.storage_uj;
-        cfg.faults = self.faults.clone();
-        cfg.arq = self.arq.clone();
-        cfg
-    }
-
-    /// Runs an explicit config over the spec's shared link table and
-    /// packet model.
-    pub fn run_config(&self, cfg: NetworkConfig) -> NetStats {
-        self.run_config_full(cfg).stats
-    }
-
-    /// Like [`NetSpec::run_config`] but returns the full [`NetRun`] —
-    /// the form resilience metrics use, since recovery time is computed
-    /// over the per-attempt trace.
-    pub fn run_config_full(&self, cfg: NetworkConfig) -> NetRun {
-        NetworkSim::with_packet_model(cfg, self.table.clone(), self.packets.clone()).run()
+    /// The template every scenario is applied to.
+    pub fn template(&self) -> &Deployment {
+        &self.0
     }
 
     /// Runs the deployment the scenario describes and returns its
     /// statistics.
+    ///
+    /// # Panics
+    /// When the scenario turns the template into an invalid deployment
+    /// (e.g. a nominal bitrate at or below the template's explicit ARQ
+    /// fallback rate).
     pub fn run(&self, scenario: &Scenario) -> NetStats {
-        self.run_config(self.config(scenario))
-    }
-}
-
-/// The one-line migration shim from the [`crate::topology::Deployment`]
-/// builder to a sweepable flat spec. The field mapping is direct:
-///
-/// | `Deployment` builder     | `NetSpec` field |
-/// |--------------------------|-----------------|
-/// | `.link(table)`           | `table` (required here) |
-/// | `.harvest(..)`           | `harvest`       |
-/// | `.packet_bits(..)`       | `packet_bits` (+ re-measured `packets`) |
-/// | `.storage(..)`           | `storage_uj`    |
-/// | `.faults(..)`            | `faults`        |
-/// | `.arq(..)`               | `arq`           |
-///
-/// Geometry (`.receivers`/`.stations`/`.placement`/`.capture`) does not
-/// map: a `NetSpec` sweeps the classic single-receiver engine, where the
-/// scenario's own axes (`n_tags`, `distance_ft`, power) set the cell.
-/// Multi-receiver plans run through [`crate::topology::CitySim`]
-/// instead.
-///
-/// # Panics
-/// On an invalid deployment (the [`crate::topology::DeploymentError`]
-/// message is included) or when no `.link(..)` table was attached —
-/// `Deployment::build` is the non-panicking path.
-impl From<crate::topology::Deployment> for NetSpec {
-    fn from(d: crate::topology::Deployment) -> NetSpec {
-        if let Err(e) = d.build() {
-            panic!("invalid Deployment: {e}");
-        }
-        let table = d
-            .link_table()
-            .expect("Deployment -> NetSpec needs .link(table)");
-        let mut spec = NetSpec::new(table).with_harvest(d.harvest_profile());
-        if d.packet_bits_cfg() != spec.packet_bits {
-            spec = spec.with_packet_bits(d.packet_bits_cfg());
-        }
-        spec.storage_uj = d.storage_cfg();
-        spec.faults = d.fault_spec().clone();
-        spec.arq = d.arq_cfg().cloned();
-        spec
+        self.0
+            .for_scenario(scenario)
+            .build()
+            .unwrap_or_else(|e| panic!("invalid scenario deployment: {e}"))
+            .sim()
+            .run()
+            .stats
     }
 }
 
@@ -236,18 +146,20 @@ impl Metric for NetLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::BerTable;
     use fmbs_audio::program::ProgramKind;
     use fmbs_core::modem::Bitrate;
     use fmbs_core::sim::fast::FastSim;
     use fmbs_core::sim::scenario::Workload;
+    use std::sync::Arc;
 
     fn spec() -> NetSpec {
-        NetSpec::new(Arc::new(BerTable::from_grid(
+        NetSpec::new(Deployment::city(1).link(Arc::new(BerTable::from_grid(
             vec![-60.0, -20.0],
             vec![1.0, 30.0],
             vec![Bitrate::Kbps1_6],
             vec![1e-4, 5e-4, 2e-4, 1e-3],
-        )))
+        ))))
     }
 
     fn net_scenario(n_tags: u32, mac_slots: u32) -> Scenario {

@@ -1,10 +1,10 @@
-//! Metro-scale deployment geometry and the sharded parallel engine.
+//! Deployment geometry, the one network builder, and the one runner.
 //!
-//! This module is the network tier's front door since PR 9: a typed
-//! [`Deployment`] builder replaces flat `NetworkConfig`/`NetSpec` field
-//! construction, validates every invariant at build time (one typed
-//! [`DeploymentError`] instead of three scattered failure modes), and
-//! compiles down to per-domain specs:
+//! [`Deployment`] is the only way to configure a network: a typed
+//! builder over one [`NetworkConfig`] that validates every invariant at
+//! build time (one typed [`DeploymentError`] instead of three scattered
+//! failure modes) and compiles to a [`CityPlan`]. [`CitySim`] is the
+//! only way to run one:
 //!
 //! * **Geometry** — FM [`Station`]s (position + transmit power),
 //!   [`Receiver`] cells, and tag [`Placement`] models (uniform over the
@@ -27,21 +27,31 @@
 //!   domains simulate on a worker pool with parallel == serial
 //!   bit-identity (same discipline the sweep engine proves).
 //!
-//! Single-receiver plans compile to the exact pre-metro engine path, so
-//! every pre-PR9 figure reproduces bit-for-bit; see
-//! [`crate::metrics::NetSpec`]'s `From<Deployment>` shim for the
-//! one-line migration of flat-spec call sites.
+//! A single-receiver plan is a one-domain run over the classic disc
+//! geometry of [`crate::deploy::SiteMap`]; its traces are pinned by
+//! digest in this module's tests.
+//!
+//! Sweeps reach the same path through [`Deployment::for_scenario`]:
+//! a template deployment plus one scenario's axes give a classic
+//! single cell. Only the template's harvest profile, packet length,
+//! storage, fault plan and ARQ survive that step. A corpus city used as
+//! a template ([`crate::corpus::CityScenario::deployment`]) therefore
+//! contributes its harvest profile and nothing else: its host channel,
+//! occupied channels, stations and receivers are dropped, and the
+//! scenario supplies power and seed over the synthetic channel-17 band
+//! plan.
 
-use crate::deploy::{city_occupancy, unit, HarvestProfile, TagSite};
+use crate::deploy::{city_occupancy, unit, HarvestProfile, SiteMap, TagSite};
 use crate::engine::{
-    ArqConfig, ArrivalTrace, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig, NetworkSim,
-    SlotExtras, TraceEvent, Traffic,
+    ArqConfig, ArrivalTrace, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig, SlotExtras,
+    TraceEvent, Traffic,
 };
 use crate::faults::{FaultKind, FaultSpec};
 use crate::link::{BerTable, PacketModel};
 use fmbs_channel::pathloss::free_space_path_loss_db;
 use fmbs_core::modem::Bitrate;
 use fmbs_core::power::{IcPowerModel, PAPER_OPERATING_POINT};
+use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_core::sim::sweep::splitmix64;
 use fmbs_fm::band::{BandOccupancy, Channel, FM_CHANNEL_SPACING_HZ};
 use serde::{Deserialize, Serialize};
@@ -339,8 +349,8 @@ pub struct CityPlan {
 }
 
 impl CityPlan {
-    /// The engine configuration at the plan's core. Single-receiver
-    /// plans run exactly this through the pre-metro engine path.
+    /// The engine configuration at the plan's core. A single-receiver
+    /// plan runs exactly this as one collision domain.
     pub fn network_config(&self) -> &NetworkConfig {
         &self.cfg
     }
@@ -405,29 +415,13 @@ impl CityPlan {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    n_tags: usize,
-    n_slots: u64,
-    bitrate: Bitrate,
-    packet_bits: u32,
-    cell_radius_ft: f64,
-    mean_power_dbm: f64,
-    host: Channel,
-    occupancy: BandOccupancy,
-    harvest: HarvestProfile,
-    storage_uj: f64,
-    seed: u64,
-    record_trace: bool,
-    trace_cap: usize,
-    traffic: Traffic,
-    drop_expired: bool,
-    faults: FaultSpec,
-    arq: Option<ArqConfig>,
+    cfg: NetworkConfig,
     stations: Vec<Station>,
     receivers: Vec<Receiver>,
     placement: Placement,
     capture_margin_db: Option<f64>,
     co_channel_ber: f64,
-    link: Option<Arc<BerTable>>,
+    pub(crate) link: Option<Arc<BerTable>>,
 }
 
 impl Deployment {
@@ -435,27 +429,11 @@ impl Deployment {
     /// defaults: one receiver cell of 16 ft, 1.6 kbps, 256-bit packets,
     /// mains power, 1000 slots — exactly `NetworkConfig::new`'s world.
     pub fn city(n_tags: usize) -> Self {
-        let base = NetworkConfig::new(n_tags, 1_000);
+        let cfg = NetworkConfig::new(n_tags, 1_000);
         Deployment {
-            n_tags,
-            n_slots: base.n_slots,
-            bitrate: base.bitrate,
-            packet_bits: base.packet_bits,
-            cell_radius_ft: base.cell_radius_ft,
-            mean_power_dbm: base.mean_power_dbm,
-            host: base.host,
-            occupancy: base.occupancy,
-            harvest: base.harvest,
-            storage_uj: base.storage_uj,
-            seed: base.seed,
-            record_trace: base.record_trace,
-            trace_cap: base.trace_cap,
-            traffic: base.traffic,
-            drop_expired: base.drop_expired,
-            faults: base.faults,
-            arq: base.arq,
+            receivers: vec![Receiver::at(0.0, 0.0, cfg.cell_radius_ft)],
+            cfg,
             stations: Vec::new(),
-            receivers: vec![Receiver::at(0.0, 0.0, base.cell_radius_ft)],
             placement: Placement::UniformDisc,
             capture_margin_db: None,
             co_channel_ber: 0.01,
@@ -463,96 +441,155 @@ impl Deployment {
         }
     }
 
+    /// The classic single cell a sweep [`Scenario`] describes, over this
+    /// deployment as a template — what lets the sweep engine treat
+    /// network axes like any other axis.
+    ///
+    /// From the scenario: tag count, slot horizon (`mac_slots`), the
+    /// data workload's bitrate, the cell radius (`distance_ft`), the
+    /// ambient power, the seed, and the synthetic band plan around
+    /// channel 17 with `f_back_hz` as its guard ring. From the
+    /// template: harvest profile, packet length, storage, fault plan
+    /// and ARQ, plus the attached link table. The template's stations,
+    /// receivers, placement, capture, host and occupancy are dropped:
+    /// the result always has one receiver, and every other setting
+    /// keeps its [`NetworkConfig::new`] default.
+    ///
+    /// A fault window longer than the scenario's horizon is clamped to
+    /// it, which is what the fault schedule does with it anyway.
+    pub fn for_scenario(&self, s: &Scenario) -> Deployment {
+        let bitrate = match s.workload {
+            Workload::Data { bitrate, .. } => bitrate,
+            _ => Bitrate::Kbps1_6,
+        };
+        let n_slots = s.mac_slots.max(1) as u64;
+        let clamp = |len: u32| (len as u64).min(n_slots) as u32;
+        let t = &self.cfg;
+        let faults = FaultSpec {
+            outage_slots: clamp(t.faults.outage_slots),
+            brownout_slots: clamp(t.faults.brownout_slots),
+            burst_slots: clamp(t.faults.burst_slots),
+            ..t.faults.clone()
+        };
+        let cfg = NetworkConfig {
+            n_tags: s.n_tags.max(1) as usize,
+            n_slots,
+            bitrate,
+            cell_radius_ft: s.distance_ft.max(1.0),
+            mean_power_dbm: s.ambient_at_tag.0,
+            occupancy: city_occupancy(Channel(17), s.f_back_hz),
+            seed: s.seed,
+            harvest: t.harvest,
+            packet_bits: t.packet_bits,
+            storage_uj: t.storage_uj,
+            faults,
+            arq: t.arq.clone(),
+            ..NetworkConfig::new(1, 1)
+        };
+        Deployment {
+            receivers: vec![Receiver::at(0.0, 0.0, cfg.cell_radius_ft)],
+            cfg,
+            link: self.link.clone(),
+            ..Deployment::city(1)
+        }
+    }
+
+    /// The engine configuration this deployment compiles to (what
+    /// [`CityPlan::network_config`] will return after [`Self::build`]).
+    pub fn network_config(&self) -> &NetworkConfig {
+        &self.cfg
+    }
+
     /// Sets the slot horizon.
     pub fn slots(mut self, n_slots: u64) -> Self {
-        self.n_slots = n_slots;
+        self.cfg.n_slots = n_slots;
         self
     }
 
     /// Sets every tag's data rate.
     pub fn bitrate(mut self, bitrate: Bitrate) -> Self {
-        self.bitrate = bitrate;
+        self.cfg.bitrate = bitrate;
         self
     }
 
     /// Sets the packet length in bits (and with it the slot duration).
     pub fn packet_bits(mut self, bits: u32) -> Self {
-        self.packet_bits = bits;
+        self.cfg.packet_bits = bits;
         self
     }
 
     /// Sets the mean ambient FM power (dBm) tags hear when no explicit
     /// [`Station`]s are configured.
     pub fn power(mut self, mean_power_dbm: f64) -> Self {
-        self.mean_power_dbm = mean_power_dbm;
+        self.cfg.mean_power_dbm = mean_power_dbm;
         self
     }
 
     /// Replaces the band occupancy the frequency plan is computed over.
     pub fn occupancy(mut self, occupancy: BandOccupancy) -> Self {
-        self.occupancy = occupancy;
+        self.cfg.occupancy = occupancy;
         self
     }
 
     /// Rebuilds the default synthetic city occupancy around `host` with
     /// the given minimum backscatter shift (guard ring).
     pub fn host(mut self, host: Channel, min_shift_hz: f64) -> Self {
-        self.host = host;
-        self.occupancy = city_occupancy(host, min_shift_hz);
+        self.cfg.host = host;
+        self.cfg.occupancy = city_occupancy(host, min_shift_hz);
         self
     }
 
     /// Sets what powers the tags.
     pub fn harvest(mut self, harvest: HarvestProfile) -> Self {
-        self.harvest = harvest;
+        self.cfg.harvest = harvest;
         self
     }
 
     /// Sets per-tag energy storage in µJ.
     pub fn storage(mut self, storage_uj: f64) -> Self {
-        self.storage_uj = storage_uj;
+        self.cfg.storage_uj = storage_uj;
         self
     }
 
     /// Sets the run seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Records the slot-level event trace (off by default).
     pub fn record_trace(mut self, on: bool) -> Self {
-        self.record_trace = on;
+        self.cfg.record_trace = on;
         self
     }
 
     /// Caps the recorded trace (see [`EventTrace::dropped`]).
     pub fn trace_cap(mut self, cap: usize) -> Self {
-        self.trace_cap = cap;
+        self.cfg.trace_cap = cap;
         self
     }
 
     /// Sets the traffic model (saturated, or a workload arrival trace).
     pub fn traffic(mut self, traffic: Traffic) -> Self {
-        self.traffic = traffic;
+        self.cfg.traffic = traffic;
         self
     }
 
     /// Sheds queued packets whose deadline already passed.
     pub fn drop_expired(mut self, on: bool) -> Self {
-        self.drop_expired = on;
+        self.cfg.drop_expired = on;
         self
     }
 
     /// Installs a deterministic fault plan.
     pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
+        self.cfg.faults = faults;
         self
     }
 
     /// Switches the link-layer ARQ on.
     pub fn arq(mut self, arq: ArqConfig) -> Self {
-        self.arq = Some(arq);
+        self.cfg.arq = Some(arq);
         self
     }
 
@@ -563,12 +600,12 @@ impl Deployment {
     }
 
     /// Places the receiver cells. One receiver keeps the classic
-    /// single-cell engine; two or more shard the run into parallel
-    /// collision domains.
+    /// single cell (one collision domain); two or more shard the run
+    /// into parallel collision domains.
     pub fn receivers(mut self, receivers: impl IntoIterator<Item = Receiver>) -> Self {
         self.receivers = receivers.into_iter().collect();
         if let [only] = self.receivers.as_slice() {
-            self.cell_radius_ft = only.radius_ft;
+            self.cfg.cell_radius_ft = only.radius_ft;
         }
         self
     }
@@ -595,59 +632,29 @@ impl Deployment {
     }
 
     /// Attaches the calibrated link table, letting [`CityPlan::sim`]
-    /// and the `From<Deployment> for NetSpec` shim work without passing
-    /// it again.
+    /// and [`crate::metrics::NetSpec`] run without passing it again.
     pub fn link(mut self, table: Arc<BerTable>) -> Self {
         self.link = Some(table);
         self
-    }
-
-    /// The attached link table, if any.
-    pub fn link_table(&self) -> Option<Arc<BerTable>> {
-        self.link.clone()
-    }
-
-    /// The configured harvest profile (for the `NetSpec` shim).
-    pub fn harvest_profile(&self) -> HarvestProfile {
-        self.harvest
-    }
-
-    /// The configured packet length in bits.
-    pub fn packet_bits_cfg(&self) -> u32 {
-        self.packet_bits
-    }
-
-    /// The configured per-tag storage in µJ.
-    pub fn storage_cfg(&self) -> f64 {
-        self.storage_uj
-    }
-
-    /// The configured fault plan.
-    pub fn fault_spec(&self) -> &FaultSpec {
-        &self.faults
-    }
-
-    /// The configured ARQ, if any.
-    pub fn arq_cfg(&self) -> Option<&ArqConfig> {
-        self.arq.as_ref()
     }
 
     /// Validates every invariant and compiles the deployment into a
     /// runnable [`CityPlan`] — the single place the band-full, ARQ and
     /// fault-window failure modes surface, as one typed error.
     pub fn build(&self) -> Result<CityPlan, DeploymentError> {
-        if self.n_tags == 0 {
+        let cfg = &self.cfg;
+        if cfg.n_tags == 0 {
             return Err(DeploymentError::NoTags);
         }
-        if self.n_slots == 0 {
+        if cfg.n_slots == 0 {
             return Err(DeploymentError::NoSlots);
         }
         if self.receivers.is_empty() {
             return Err(DeploymentError::NoReceivers);
         }
-        if self.occupancy.free_channels().is_empty() {
+        if cfg.occupancy.free_channels().is_empty() {
             return Err(DeploymentError::BandFull {
-                occupied: self.occupancy.occupied_count(),
+                occupied: cfg.occupancy.occupied_count(),
             });
         }
         self.validate_arq()?;
@@ -662,35 +669,13 @@ impl Deployment {
                 ber: self.co_channel_ber,
             });
         }
-
-        let cfg = NetworkConfig {
-            n_tags: self.n_tags,
-            n_slots: self.n_slots,
-            bitrate: self.bitrate,
-            packet_bits: self.packet_bits,
-            cell_radius_ft: self.cell_radius_ft,
-            mean_power_dbm: self.mean_power_dbm,
-            host: self.host,
-            occupancy: self.occupancy.clone(),
-            harvest: self.harvest,
-            storage_uj: self.storage_uj,
-            max_backoff_exp: 8,
-            coding: true,
-            seed: self.seed,
-            record_trace: self.record_trace,
-            trace_cap: self.trace_cap,
-            traffic: self.traffic.clone(),
-            drop_expired: self.drop_expired,
-            faults: self.faults.clone(),
-            arq: self.arq.clone(),
-        };
         let topology = if self.receivers.len() >= 2 {
-            Some(self.synthesize(&cfg)?)
+            Some(self.synthesize()?)
         } else {
             None
         };
         Ok(CityPlan {
-            cfg,
+            cfg: cfg.clone(),
             topology,
             capture_margin_db: self.capture_margin_db,
             co_channel_ber: self.co_channel_ber,
@@ -699,7 +684,9 @@ impl Deployment {
     }
 
     fn validate_arq(&self) -> Result<(), DeploymentError> {
-        let Some(a) = &self.arq else { return Ok(()) };
+        let Some(a) = &self.cfg.arq else {
+            return Ok(());
+        };
         let fail = |reason: String| Err(DeploymentError::ArqInvalid { reason });
         if a.ack_slots > 1024 {
             return fail(format!("ack_slots {} exceeds 1024", a.ack_slots));
@@ -714,10 +701,10 @@ impl Deployment {
             return fail("recover_after must be >= 1".into());
         }
         if let Some(fb) = a.fallback_bitrate {
-            if fb.bits_per_second() >= self.bitrate.bits_per_second() {
+            if fb.bits_per_second() >= self.cfg.bitrate.bits_per_second() {
                 return fail(format!(
                     "fallback bitrate {:?} is not below the nominal {:?}",
-                    fb, self.bitrate
+                    fb, self.cfg.bitrate
                 ));
             }
         }
@@ -725,18 +712,18 @@ impl Deployment {
     }
 
     fn validate_faults(&self) -> Result<(), DeploymentError> {
-        let f = &self.faults;
+        let f = &self.cfg.faults;
         let windows = [
             (FaultKind::Outage, f.outages, f.outage_slots as u64),
             (FaultKind::Brownout, f.brownouts, f.brownout_slots as u64),
             (FaultKind::Burst, f.bursts, f.burst_slots as u64),
         ];
         for (kind, count, window_slots) in windows {
-            if count > 0 && (window_slots == 0 || window_slots > self.n_slots) {
+            if count > 0 && (window_slots == 0 || window_slots > self.cfg.n_slots) {
                 return Err(DeploymentError::FaultWindow {
                     kind,
                     window_slots,
-                    horizon: self.n_slots,
+                    horizon: self.cfg.n_slots,
                 });
             }
         }
@@ -756,9 +743,10 @@ impl Deployment {
     /// Compiles the multi-receiver geometry: deterministic tag
     /// placement, nearest-receiver domain assignment, per-domain
     /// frequency plans and the co-channel overlap table.
-    fn synthesize(&self, cfg: &NetworkConfig) -> Result<MetroTopology, DeploymentError> {
+    fn synthesize(&self) -> Result<MetroTopology, DeploymentError> {
+        let cfg = &self.cfg;
         let rx = &self.receivers;
-        let seed = self.seed;
+        let seed = cfg.seed;
         let slot_secs = cfg.slot_secs();
         let urban = fmbs_channel::pathloss::LogDistanceModel::urban_fm();
         // Area-weighted cell choice for uniform placement.
@@ -768,7 +756,7 @@ impl Deployment {
         let mut tags_of: Vec<Vec<u32>> = vec![Vec::new(); rx.len()];
         let mut dist_of: Vec<Vec<f64>> = vec![Vec::new(); rx.len()];
         let mut power_of: Vec<Vec<f64>> = vec![Vec::new(); rx.len()];
-        for i in 0..self.n_tags {
+        for i in 0..cfg.n_tags {
             let pick = unit(seed, i as u64, 10);
             let cell = match self.placement {
                 Placement::UniformDisc => {
@@ -818,7 +806,7 @@ impl Deployment {
             }
             let shadow = 8.0 * (unit(seed, i as u64, 13) - 0.5);
             let power_dbm = if self.stations.is_empty() {
-                self.mean_power_dbm + shadow
+                cfg.mean_power_dbm + shadow
             } else {
                 self.stations
                     .iter()
@@ -837,7 +825,7 @@ impl Deployment {
         // Per-domain frequency plans and site synthesis.
         let mut domains = Vec::with_capacity(rx.len());
         for (cell, tags) in tags_of.iter().enumerate() {
-            let shifts = fmbs_core::mac::assign_f_back(&self.occupancy, self.host, tags.len());
+            let shifts = fmbs_core::mac::assign_f_back(&cfg.occupancy, cfg.host, tags.len());
             let mut chan_keys: Vec<i64> = Vec::new();
             let mut sites = Vec::with_capacity(tags.len());
             let mut rx_dbm = Vec::with_capacity(tags.len());
@@ -865,9 +853,9 @@ impl Deployment {
                     power_dbm,
                     f_back_hz,
                     channel,
-                    harvest_uw: self.harvest.harvest_uw(fmbs_channel::units::Dbm(power_dbm)),
+                    harvest_uw: cfg.harvest.harvest_uw(fmbs_channel::units::Dbm(power_dbm)),
                     tx_cost_uj,
-                    storage_uj: self.storage_uj.max(2.0 * tx_cost_uj),
+                    storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
                 });
                 rx_dbm
                     .push(power_dbm - free_space_path_loss_db(distance_ft * FT_TO_M, urban.f_hz).0);
@@ -918,11 +906,11 @@ pub struct MetroRun {
     pub trace: EventTrace,
 }
 
-/// The metro simulator: a compiled [`CityPlan`] plus the link table.
-/// Single-receiver plans delegate to the classic [`NetworkSim`] path
-/// bit-exactly; multi-receiver plans step one [`CollisionDomain`] per
-/// event queue in lockstep, on a worker pool, with parallel == serial
-/// bit-identity.
+/// The network simulator: a compiled [`CityPlan`] plus the link table.
+/// A single-receiver plan runs as one collision domain over the classic
+/// disc geometry of [`SiteMap`]; multi-receiver plans step one
+/// [`CollisionDomain`] per event queue in lockstep, on a worker pool,
+/// with parallel == serial bit-identity.
 #[derive(Debug, Clone)]
 pub struct CitySim {
     plan: CityPlan,
@@ -968,14 +956,28 @@ impl CitySim {
     pub fn run_with_threads(&self, threads: usize) -> MetroRun {
         fmbs_obs::span!(fmbs_obs::stages::NET_ENGINE);
         let Some(topo) = &self.plan.topology else {
-            // Single receiver: the classic engine path, bit-exact with
-            // a pre-PR9 NetworkSim run of the same config.
-            let run = NetworkSim::with_packet_model(
-                self.plan.cfg.clone(),
-                self.table.clone(),
+            // Single receiver: one domain over the disc around the
+            // receiver, stepped from event to event.
+            let cfg = &self.plan.cfg;
+            let map = SiteMap::generate(
+                cfg.n_tags,
+                cfg.cell_radius_ft,
+                cfg.mean_power_dbm,
+                &cfg.occupancy,
+                cfg.host,
+                cfg.harvest,
+                cfg.slot_secs(),
+                cfg.storage_uj,
+                cfg.seed,
+            );
+            let run = DomainSim::new(
+                cfg.clone(),
+                &self.table,
                 self.packets.clone(),
+                &map.sites,
+                map.n_channels,
             )
-            .run();
+            .run_alone();
             return MetroRun {
                 per_domain: vec![run.stats.clone()],
                 stats: run.stats,
@@ -1227,7 +1229,8 @@ mod tests {
         // Each case pins one engine branch: saturated contention,
         // trace-driven queues with expiry shedding, every fault class
         // under ARQ, and a streetlight-starved harvester. The digests
-        // were recorded from the classic single-receiver engine.
+        // were recorded from the classic single-receiver engine that
+        // this one-domain path replaced.
         let all_faults = FaultSpec::none()
             .with_outages(1, 40)
             .with_brownouts(2, 50, 0.2)
@@ -1267,9 +1270,7 @@ mod tests {
         ];
         for (name, deployment, digest) in cases {
             let plan = deployment.record_trace(true).build().expect("valid");
-            let classic = NetworkSim::new(plan.network_config().clone(), table()).run();
             let run = plan.into_sim(table()).run();
-            assert_eq!(classic.trace, run.trace, "{name}");
             let (s, trace) = (&run.stats, &run.trace);
             let exercised = match name {
                 "saturated" => s.collided > 0,

@@ -35,12 +35,13 @@
 //! use std::sync::Arc;
 //!
 //! let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
+//! let template = Deployment::city(1).link(table);
 //! let base = Scenario::bench(-40.0, 12.0, ProgramKind::News)
 //!     .with_workload(Workload::data(Bitrate::Kbps1_6, 256))
 //!     .with_traffic(ArrivalModel::Poisson, 0.02, AppProfile::SensorBeacon);
 //! let miss = SweepBuilder::new(base)
 //!     .n_tags([8, 256])
-//!     .run(&FastSim, &DeadlineMissRate(WorkloadSpec::new(NetSpec::new(table))));
+//!     .run(&FastSim, &DeadlineMissRate(WorkloadSpec::new(NetSpec::new(template))));
 //! assert_eq!(miss.points.len(), 2);
 //! assert!(miss.points.iter().all(|p| (0.0..=1.0).contains(&p.value)));
 //! ```

@@ -1,12 +1,14 @@
 //! SLO metrics over trace-driven runs.
 //!
 //! A [`WorkloadSpec`] bundles the network tier's [`NetSpec`] with an
-//! admission [`Policy`]; `run` generates the scenario's arrival trace,
-//! applies the policy, replays the trace through the `fmbs-net` engine
-//! and returns combined statistics. The metric wrappers implement the
-//! ordinary [`Metric`] trait, so `offered_load`, `arrival_model` and
-//! `app_profile` sweep exactly like physics axes — same point seeds,
-//! same parallel == serial bit-identity.
+//! admission [`Policy`]; `run` derives the scenario's deployment from
+//! the spec's template
+//! ([`fmbs_net::topology::Deployment::for_scenario`]), generates the
+//! arrival trace, applies the policy, replays the trace through the
+//! `fmbs-net` engine and returns combined statistics. The metric
+//! wrappers implement the ordinary [`Metric`] trait, so `offered_load`,
+//! `arrival_model` and `app_profile` sweep exactly like physics axes —
+//! same point seeds, same parallel == serial bit-identity.
 //!
 //! Quantiles use [`fmbs_dsp::stats::quantile_nearest_rank_counted`];
 //! note its small-sample caveat — a p999 over fewer than 1000 delivered
@@ -27,7 +29,8 @@ use std::sync::Arc;
 /// admission policy traffic is filtered through.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
-    /// Link table, harvest profile and packet framing.
+    /// The template deployment: link table, harvest profile, packet
+    /// framing, fault plan and ARQ.
     pub net: NetSpec,
     /// Admission policy applied to every generated trace.
     pub policy: Policy,
@@ -113,29 +116,33 @@ impl WorkloadSpec {
         scenario: &Scenario,
         record_trace: bool,
     ) -> (WorkloadStats, fmbs_net::engine::EventTrace) {
-        let mut cfg = self.net.config(scenario);
-        cfg.record_trace = record_trace;
-        if scenario.arrival_model == ArrivalModel::Saturated {
-            let run = self.net.run_config_full(cfg);
-            return (
-                WorkloadStats {
-                    net: run.stats,
-                    offered_raw: 0,
-                    admission_shed: 0,
-                },
-                run.trace,
-            );
-        }
-        let trace = TraceSpec::from_scenario(scenario, cfg.slot_secs()).generate();
-        let Admitted {
-            trace,
-            offered_raw,
-            admission_shed,
-            drop_expired,
-        } = self.policy.apply(trace);
-        cfg.traffic = Traffic::Trace(Arc::new(trace));
-        cfg.drop_expired = drop_expired;
-        let run = self.net.run_config_full(cfg);
+        let deployment = self
+            .net
+            .template()
+            .for_scenario(scenario)
+            .record_trace(record_trace);
+        let (deployment, offered_raw, admission_shed) =
+            if scenario.arrival_model == ArrivalModel::Saturated {
+                (deployment, 0, 0)
+            } else {
+                let slot_secs = deployment.network_config().slot_secs();
+                let trace = TraceSpec::from_scenario(scenario, slot_secs).generate();
+                let Admitted {
+                    trace,
+                    offered_raw,
+                    admission_shed,
+                    drop_expired,
+                } = self.policy.apply(trace);
+                let deployment = deployment
+                    .traffic(Traffic::Trace(Arc::new(trace)))
+                    .drop_expired(drop_expired);
+                (deployment, offered_raw, admission_shed)
+            };
+        let run = deployment
+            .build()
+            .unwrap_or_else(|e| panic!("invalid scenario deployment: {e}"))
+            .sim()
+            .run();
         (
             WorkloadStats {
                 net: run.stats,
@@ -245,14 +252,16 @@ mod tests {
     use fmbs_core::sim::fast::FastSim;
     use fmbs_core::sim::scenario::{AppProfile, Workload};
     use fmbs_net::link::BerTable;
+    use fmbs_net::topology::Deployment;
 
     fn spec() -> WorkloadSpec {
-        WorkloadSpec::new(NetSpec::new(Arc::new(BerTable::from_grid(
+        let table = BerTable::from_grid(
             vec![-60.0, -20.0],
             vec![1.0, 30.0],
             vec![Bitrate::Kbps1_6],
             vec![1e-4, 5e-4, 2e-4, 1e-3],
-        ))))
+        );
+        WorkloadSpec::new(NetSpec::new(Deployment::city(1).link(Arc::new(table))))
     }
 
     fn scenario(n_tags: u32, load: f64) -> Scenario {

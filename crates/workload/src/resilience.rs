@@ -4,7 +4,7 @@
 //! conditions; these measure what the fault layer of
 //! [`fmbs_net::faults`] costs and what the engine's link-layer ARQ
 //! ([`fmbs_net::engine::ArqConfig`]) buys back. All three are ordinary
-//! [`Metric`] impls over a [`WorkloadSpec`] whose [`NetSpec`]
+//! [`Metric`] impls over a [`WorkloadSpec`] whose template deployment
 //! carries the fault plan and ARQ parameters, so fault axes sweep with
 //! the usual parallel == serial bit-identity.
 //!
@@ -100,8 +100,9 @@ impl Metric for RecoveryTimeSlots {
     }
 
     fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        let cfg = self.spec.net.config(scenario);
-        let sched = self.spec.net.faults.schedule(cfg.n_slots, cfg.n_tags);
+        let deployment = self.spec.net.template().for_scenario(scenario);
+        let cfg = deployment.network_config();
+        let sched = cfg.faults.schedule(cfg.n_slots, cfg.n_tags);
         let Some(span) = sched.span() else {
             return 0.0;
         };
@@ -130,15 +131,29 @@ mod tests {
     use fmbs_net::faults::FaultSpec;
     use fmbs_net::link::BerTable;
     use fmbs_net::metrics::NetSpec;
+    use fmbs_net::topology::Deployment;
     use std::sync::Arc;
 
-    fn spec(ber: f64) -> WorkloadSpec {
-        WorkloadSpec::new(NetSpec::new(Arc::new(BerTable::from_grid(
+    /// A mains-powered template over a flat `ber` link table.
+    fn template(ber: f64) -> Deployment {
+        let table = BerTable::from_grid(
             vec![-60.0, -20.0],
             vec![1.0, 30.0],
             vec![Bitrate::Kbps1_6],
             vec![ber; 4],
-        ))))
+        );
+        Deployment::city(1).link(Arc::new(table))
+    }
+
+    fn spec(ber: f64) -> WorkloadSpec {
+        WorkloadSpec::new(NetSpec::new(template(ber)))
+    }
+
+    /// `template(ber)` with `faults` and the default ARQ.
+    fn faulted(ber: f64, faults: FaultSpec) -> WorkloadSpec {
+        WorkloadSpec::new(NetSpec::new(
+            template(ber).faults(faults).arq(ArqConfig::default()),
+        ))
     }
 
     fn scenario(n_tags: u32, load: f64) -> Scenario {
@@ -154,10 +169,8 @@ mod tests {
     fn outage_degrades_the_delivery_ratio() {
         let s = scenario(24, 0.02);
         let clean = DeliveryRatio(spec(1e-4)).evaluate(&FastSim, &s);
-        let mut faulted = spec(1e-4);
-        faulted.net.faults = FaultSpec::none().with_outages(1, 300);
-        faulted.net.arq = Some(ArqConfig::default());
-        let hit = DeliveryRatio(faulted).evaluate(&FastSim, &s);
+        let outage = faulted(1e-4, FaultSpec::none().with_outages(1, 300));
+        let hit = DeliveryRatio(outage).evaluate(&FastSim, &s);
         assert!((0.0..=1.0).contains(&clean) && (0.0..=1.0).contains(&hit));
         assert!(hit <= clean, "outage {hit} vs clean {clean}");
     }
@@ -167,8 +180,7 @@ mod tests {
         let s = scenario(16, 0.01);
         // Without ARQ nothing is ever retransmitted.
         assert_eq!(RetxOverhead(spec(8e-2)).evaluate(&FastSim, &s), 0.0);
-        let mut arq = spec(8e-2);
-        arq.net.arq = Some(ArqConfig::default());
+        let arq = faulted(8e-2, FaultSpec::none());
         let overhead = RetxOverhead(arq).evaluate(&FastSim, &s);
         assert!(overhead > 0.0 && overhead < 1.0, "overhead {overhead}");
     }
@@ -180,10 +192,8 @@ mod tests {
             RecoveryTimeSlots::new(spec(1e-4)).evaluate(&FastSim, &s),
             0.0
         );
-        let mut faulted = spec(1e-4);
-        faulted.net.faults = FaultSpec::none().with_outages(1, 200);
-        faulted.net.arq = Some(ArqConfig::default());
-        let t = RecoveryTimeSlots::new(faulted).evaluate(&FastSim, &s);
+        let outage = faulted(1e-4, FaultSpec::none().with_outages(1, 200));
+        let t = RecoveryTimeSlots::new(outage).evaluate(&FastSim, &s);
         assert!(t.is_finite() && t >= 0.0, "recovery {t}");
         assert!(t <= 900.0, "capped at the horizon");
     }

@@ -491,6 +491,12 @@ fn shared_ber_table() -> std::sync::Arc<fmbs_net::prelude::BerTable> {
         .clone()
 }
 
+/// A mains-powered template deployment over [`shared_ber_table`]; each
+/// scenario supplies the cell around it.
+fn shared_template() -> fmbs_net::prelude::Deployment {
+    fmbs_net::prelude::Deployment::city(1).link(shared_ber_table())
+}
+
 // Workload-tier runs execute the full queued discrete-event engine per
 // case, so a smaller case count keeps the suite fast.
 proptest! {
@@ -532,7 +538,7 @@ proptest! {
             .with_traffic(model, load, profile);
         s.n_tags = n_tags;
         s.mac_slots = mac_slots;
-        let stats = WorkloadSpec::new(NetSpec::new(shared_ber_table()))
+        let stats = WorkloadSpec::new(NetSpec::new(shared_template()))
             .with_policy(policy)
             .run(&s);
         prop_assert!(stats.conserved(), "{:?}", stats);
@@ -562,7 +568,7 @@ proptest! {
             .with_seed(seed);
         base.n_tags = n_tags;
         base.mac_slots = 300;
-        let metric = DeadlineMissRate(WorkloadSpec::new(NetSpec::new(shared_ber_table())));
+        let metric = DeadlineMissRate(WorkloadSpec::new(NetSpec::new(shared_template())));
         let sweep = SweepBuilder::new(base)
             .arrival_models([ArrivalModel::Poisson, ArrivalModel::Mmpp])
             .offered_loads([0.01, 0.05])
@@ -642,12 +648,12 @@ proptest! {
             Policy::RateCap { max_load: load / 2.0 },
             Policy::DeadlineAware,
         ][policy_idx];
-        let mut net = NetSpec::new(shared_ber_table())
-            .with_faults(chaos_fault_spec(kind_idx, fault_seed, n_faults, fault_len, level));
+        let mut template = shared_template()
+            .faults(chaos_fault_spec(kind_idx, fault_seed, n_faults, fault_len, level));
         if arq_on {
-            net = net.with_arq(ArqConfig::default());
+            template = template.arq(ArqConfig::default());
         }
-        let stats = WorkloadSpec::new(net)
+        let stats = WorkloadSpec::new(NetSpec::new(template))
             .with_policy(policy)
             .run(&chaos_scenario(n_tags, mac_slots, load, seed));
         prop_assert!(stats.conserved(), "{:?}", stats);
@@ -668,9 +674,11 @@ proptest! {
         use fmbs_net::prelude::{ArqConfig, NetSpec};
         use fmbs_workload::prelude::WorkloadSpec;
         let spec = WorkloadSpec::new(
-            NetSpec::new(shared_ber_table())
-                .with_faults(chaos_fault_spec(kind_idx, fault_seed, 2, 80, 0.3))
-                .with_arq(ArqConfig::default()),
+            NetSpec::new(
+                shared_template()
+                    .faults(chaos_fault_spec(kind_idx, fault_seed, 2, 80, 0.3))
+                    .arq(ArqConfig::default()),
+            ),
         );
         let s = chaos_scenario(n_tags, 300, 0.04, seed);
         let a = spec.run(&s);
@@ -694,9 +702,11 @@ proptest! {
         use fmbs_net::prelude::{ArqConfig, NetSpec};
         use fmbs_workload::prelude::{DeliveryRatio, WorkloadSpec};
         let metric = DeliveryRatio(WorkloadSpec::new(
-            NetSpec::new(shared_ber_table())
-                .with_faults(chaos_fault_spec(kind_idx, fault_seed, 2, 60, 0.4))
-                .with_arq(ArqConfig::default()),
+            NetSpec::new(
+                shared_template()
+                    .faults(chaos_fault_spec(kind_idx, fault_seed, 2, 60, 0.4))
+                    .arq(ArqConfig::default()),
+            ),
         ));
         let sweep = SweepBuilder::new(chaos_scenario(n_tags, 250, 0.03, seed))
             .arrival_models([ArrivalModel::Poisson, ArrivalModel::Mmpp])
@@ -720,17 +730,15 @@ proptest! {
         seed in any::<u64>(),
         fault_seed in any::<u64>(),
     ) {
-        use fmbs_net::prelude::{ArqConfig, FaultSpec, NetSpec};
+        use fmbs_net::prelude::{ArqConfig, Deployment, FaultSpec, NetSpec};
         use fmbs_workload::prelude::WorkloadSpec;
-        let mk = |net: NetSpec| {
-            let net = if arq_on { net.with_arq(ArqConfig::default()) } else { net };
-            WorkloadSpec::new(net)
+        let mk = |template: Deployment| {
+            let template = if arq_on { template.arq(ArqConfig::default()) } else { template };
+            WorkloadSpec::new(NetSpec::new(template))
         };
         let s = chaos_scenario(n_tags, 300, 0.04, seed);
-        let plain = mk(NetSpec::new(shared_ber_table())).run(&s);
-        let zeroed = mk(NetSpec::new(shared_ber_table())
-            .with_faults(FaultSpec::none().with_seed(fault_seed)))
-            .run(&s);
+        let plain = mk(shared_template()).run(&s);
+        let zeroed = mk(shared_template().faults(FaultSpec::none().with_seed(fault_seed))).run(&s);
         prop_assert_eq!(format!("{:?}", plain), format!("{:?}", zeroed));
     }
 
@@ -751,12 +759,12 @@ proptest! {
         use fmbs_core::sim::scenario::ArrivalModel;
         use fmbs_net::prelude::{ArqConfig, NetSpec};
         use fmbs_workload::prelude::WorkloadSpec;
-        let mut net = NetSpec::new(shared_ber_table())
-            .with_faults(chaos_fault_spec(kind_idx, fault_seed, 2, 80, 0.3));
+        let mut template =
+            shared_template().faults(chaos_fault_spec(kind_idx, fault_seed, 2, 80, 0.3));
         if arq_on {
-            net = net.with_arq(ArqConfig::default());
+            template = template.arq(ArqConfig::default());
         }
-        let spec = WorkloadSpec::new(net);
+        let spec = WorkloadSpec::new(NetSpec::new(template));
         let mut s = chaos_scenario(n_tags, 300, 0.05, seed);
         s.arrival_model =
             [ArrivalModel::Poisson, ArrivalModel::Saturated, ArrivalModel::Mmpp][model_idx];
