@@ -330,7 +330,7 @@ fn run_perf(path: &str, label: &str, gate: bool) {
             perf::net_baselines("BENCH_net.json"),
         )
     });
-    let rec = match perf::record_full(path, label, 3) {
+    let rec = match perf::record(path, label, 3) {
         Ok(rec) => {
             println!(
                 "sweep throughput: {:.1} points/s serial, {:.1} points/s parallel \
@@ -648,6 +648,9 @@ fn run_campaign_mode(cli: &Cli) {
             .filter(|c| city_ids.contains(&c.id))
             .collect()
     };
+    if let Some(json_dir) = &cli.json_dir {
+        require_json_dir(json_dir);
+    }
     let grid = if cli.full { Grid::Full } else { Grid::Quick };
     eprintln!(
         "campaign: {} figure(s) x {} city(ies) on the {} grid, one shared cache ...",
@@ -677,10 +680,6 @@ fn run_campaign_mode(cli: &Cli) {
     // --json is orthogonal to --check/--bless here: the scheduled CI job
     // diffs the goldens and exports the manifests in one regeneration.
     if let Some(json_dir) = &cli.json_dir {
-        if let Err(e) = std::fs::create_dir_all(json_dir) {
-            eprintln!("create {json_dir}: {e}");
-            std::process::exit(1);
-        }
         for c in &run.cities {
             let path = format!("{json_dir}/campaign_{}.json", c.id);
             match manifest::write(&path, &c.manifest) {
@@ -759,6 +758,16 @@ fn require_writable_parent(flag: &str, path: &str) {
              {flag} does not mkdir)",
             parent.display(),
         );
+        std::process::exit(2);
+    }
+}
+
+/// `--json <dir>`: the output directory is created before regeneration
+/// runs, so a path that cannot exist exits 2 up front instead of after
+/// minutes of work.
+fn require_json_dir(dir: &str) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("--json {dir}: cannot create the output directory: {e}");
         std::process::exit(2);
     }
 }
@@ -956,6 +965,9 @@ fn main() {
         return;
     }
 
+    if let Some(dir) = &cli.json_dir {
+        require_json_dir(dir);
+    }
     let grid = if cli.full { Grid::Full } else { Grid::Quick };
     eprintln!(
         "regenerating {} experiment(s) ({grid:?} grid, {} tier{})...",
@@ -1031,10 +1043,15 @@ fn main() {
     }
 
     if let Some(dir) = cli.json_dir {
-        std::fs::create_dir_all(&dir).expect("create json output dir");
         for e in &results {
             let path = format!("{dir}/{}.json", e.id);
-            std::fs::write(&path, serde_json::to_string_pretty(e).unwrap()).expect("write json");
+            let written = serde_json::to_string_pretty(e)
+                .map_err(|e| format!("serialise: {e:?}"))
+                .and_then(|json| std::fs::write(&path, json).map_err(|e| e.to_string()));
+            if let Err(e) = written {
+                eprintln!("--json {path}: {e}");
+                std::process::exit(1);
+            }
             eprintln!("wrote {path}");
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! One function per table/figure of the paper's evaluation, each returning
 //! an [`report::Experiment`] with the same series the paper plots. The
-//! `repro` binary prints/serialises them; the Criterion benches in
-//! `benches/` time representative points of each. [`perf`] persists the
-//! sweep-engine throughput as a tracked series (`repro --perf`).
+//! `repro` binary prints/serialises them. [`perf`] persists the sweep,
+//! figure and network throughput as tracked series (`repro --perf`);
+//! the repository benchmark under `perfbench/` times every layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

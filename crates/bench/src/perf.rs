@@ -1,11 +1,12 @@
-//! Tracked sweep-throughput perf series.
+//! Tracked perf series: `repro --perf`.
 //!
-//! The vendored criterion stand-in prints medians but persists nothing,
-//! so `repro --perf` measures the same fixed 25-point BER grid the
-//! `sweep_throughput` criterion bench runs and **appends** the result to
-//! a JSON series file (default `BENCH_sweep.json` at the repo root).
-//! Future PRs regress against the trajectory instead of a number in a
-//! commit message.
+//! Measures a fixed 25-point BER sweep grid, the quick-grid wall time
+//! of the [`PERF_FIGURES`] and the [`NET_CASES`] network deployments,
+//! and **appends** each result to a JSON series file (default
+//! `BENCH_sweep.json` / `BENCH_net.json` at the repo root), so future
+//! changes regress against the trajectory instead of a number in a
+//! commit message. `--gate` fails a run that drops more than
+//! [`MAX_PERF_DROP`] below the last committed record.
 
 use fmbs_audio::program::ProgramKind;
 use fmbs_core::modem::Bitrate;
@@ -89,7 +90,9 @@ pub struct PerfSeries {
     pub series: Vec<PerfRecord>,
 }
 
-/// The same fixed 25-point BER grid as the `sweep_throughput` bench.
+/// The fixed 25-point BER grid the sweep series measures: five powers
+/// × five distances of a 200-bit 1.6 kbps data workload on the fast
+/// tier.
 pub fn throughput_grid() -> SweepBuilder {
     let base = Scenario::bench(-30.0, 2.0, ProgramKind::News)
         .with_workload(Workload::data(Bitrate::Kbps1_6, 200));
@@ -148,16 +151,11 @@ pub fn measure_figure_walls() -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Measures and appends to the series file at `path` (created when
-/// missing; unreadable or unparseable files are reported, not
-/// clobbered — the trajectory is the whole point of the file).
+/// Measures the grid and the per-figure wall-time column and appends
+/// the record to the series file at `path` (created when missing;
+/// unreadable or unparseable files are reported, not clobbered — the
+/// trajectory is the whole point of the file).
 pub fn record(path: &str, label: &str, samples: usize) -> Result<PerfRecord, String> {
-    append_sweep(path, measure(label, samples))
-}
-
-/// Like [`record`] but with the per-figure wall-time column measured
-/// and attached — the `repro --perf` entry point.
-pub fn record_full(path: &str, label: &str, samples: usize) -> Result<PerfRecord, String> {
     let mut rec = measure(label, samples);
     rec.figure_wall_s = measure_figure_walls();
     append_sweep(path, rec)
@@ -342,7 +340,11 @@ fn case_of(label: &str) -> usize {
 
 /// Measures one case over `table` (best of its samples) and returns the
 /// record. Errs (instead of panicking) when the deployment fails
-/// build-time validation, with the typed error's hint attached.
+/// build-time validation, with the typed error's hint attached, and
+/// when a run does not conserve its queues (every offered packet is
+/// delivered, dropped, abandoned or still queued). The check holds in
+/// release builds too, so the gate never records a run that lost
+/// packets.
 pub fn measure_net(
     case: &NetCase,
     table: &Arc<BerTable>,
@@ -363,8 +365,13 @@ pub fn measure_net(
         let t = Instant::now();
         let run = sim.run();
         best = best.min(t.elapsed().as_secs_f64());
+        if !run.stats.queue_conserved() {
+            return Err(format!(
+                "{}: queue not conserved: {:?}",
+                case.name, run.stats
+            ));
+        }
         delivered = run.stats.delivered;
-        debug_assert!(run.stats.queue_conserved(), "{:?}", run.stats);
     }
     Ok(NetPerfRecord {
         unix_time: std::time::SystemTime::now()
@@ -545,6 +552,30 @@ mod tests {
             "/tmp/BENCH_net.json"
         );
         assert_eq!(net_series_path("perf.json"), "perf.json.net.json");
+    }
+
+    #[test]
+    fn net_cases_build_at_their_documented_sizes() {
+        // Build only: the runs themselves belong to `repro --perf`.
+        let sizes: Vec<(usize, u64)> = NET_CASES
+            .iter()
+            .map(|case| {
+                let plan = (case.deployment)()
+                    .build()
+                    .unwrap_or_else(|e| panic!("{} deployment: {e}", case.name));
+                let cfg = plan.network_config();
+                (cfg.n_tags, cfg.n_slots)
+            })
+            .collect();
+        assert_eq!(
+            sizes,
+            [
+                (10_000, 1_000),
+                (10_000, 1_000),
+                (10_000, 1_000),
+                (1_000_000, 10_000)
+            ]
+        );
     }
 
     #[test]

@@ -144,3 +144,30 @@ fn repro_fault_rejects_check_bless_perf() {
         );
     }
 }
+
+/// `--json <dir>` creates its directory before any regeneration runs: a
+/// directory that cannot exist exits 2 naming the flag and the path (in
+/// figure and campaign mode alike) instead of panicking after the run,
+/// and a creatable one receives one JSON file per experiment.
+#[test]
+fn repro_json_dir_is_created_up_front() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+    for args in [
+        &["fig4a", "--json", "/dev/null/out"][..],
+        &["--campaign", "--corpus", corpus, "--json", "/dev/null/out"],
+    ] {
+        let (code, stderr) = run_repro(args);
+        assert_eq!(code, Some(2), "{args:?} stderr: {stderr}");
+        assert!(
+            stderr.contains("--json /dev/null/out"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let dir = std::env::temp_dir().join("fmbs_repro_json_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (code, stderr) = run_repro(&["fig4a", "--json", dir.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(dir.join("fig4a.json").is_file(), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

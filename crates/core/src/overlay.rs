@@ -4,15 +4,14 @@
 //! The mode every FM receiver supports (including non-programmable car
 //! stereos — §5.4): the tag's audio or data rides in the mono band, and
 //! the listener hears host + payload as a composite. These harnesses are
-//! thin adapters over the [`Simulator`]/[`Metric`](crate::sim::metric::Metric)
-//! API — the same code path the sweep engine drives for Figs. 7, 8, 11
-//! and 14.
+//! thin adapters over the [`Simulator`](crate::sim::Simulator) /
+//! [`Metric`](crate::sim::metric::Metric) API — the same code path the
+//! sweep engine drives for Figs. 7, 8, 11 and 14.
 
 use crate::modem::Bitrate;
 use crate::sim::fast::{FastSim, FAST_AUDIO_RATE};
 use crate::sim::metric::{Ber, BerMrc, Metric, Pesq};
 use crate::sim::scenario::{Scenario, Workload};
-use crate::sim::{SimOutput, Simulator};
 
 /// Overlay *audio* experiment: backscatter speech over the host programme
 /// and score it with the PESQ-like metric (Fig. 11 / Fig. 13 / Fig. 14b).
@@ -55,13 +54,6 @@ impl OverlayAudio {
     /// composite against the clean payload.
     pub fn run_pesq(&self) -> f64 {
         Pesq::default().evaluate(&FastSim, &self.scenario())
-    }
-
-    /// Runs and returns both the received audio and the score.
-    pub fn run_full(&self) -> (SimOutput, f64) {
-        let out = FastSim.run(&self.scenario());
-        let score = Pesq::default().score_output(&out, false);
-        (out, score)
     }
 }
 
