@@ -167,8 +167,17 @@ impl CoopSession {
 mod tests {
     use super::*;
     use crate::sim::fast::FAST_AUDIO_RATE;
+    use crate::sim::metric::Pesq;
     use fmbs_audio::program::ProgramKind;
     use fmbs_dsp::TAU;
+
+    /// Cooperative PESQ of `secs` of payload speech behind the 13 kHz
+    /// calibration pilot (Fig. 12).
+    fn coop_pesq(scenario: Scenario, secs: f64) -> f64 {
+        let s = scenario
+            .with_workload(Workload::coop_audio(secs).with_payload_seed(scenario.seed ^ 0xC0));
+        CoopPesq::default().evaluate(&FastSim, &s)
+    }
 
     #[test]
     fn decoder_cancels_shared_host_audio() {
@@ -210,24 +219,24 @@ mod tests {
     fn coop_pesq_near_four_at_good_power() {
         // Fig. 12: "cooperative backscatter has high PESQ values of around
         // 4 for different power values between −20 and −50 dBm."
-        let session = CoopSession::new(Scenario::bench(-30.0, 8.0, ProgramKind::News), 3.0);
-        let score = session.run_pesq();
+        let score = coop_pesq(Scenario::bench(-30.0, 8.0, ProgramKind::News), 3.0);
         assert!(score > 3.2, "coop PESQ {score}");
     }
 
     #[test]
     fn coop_works_at_minus_50_dbm() {
         // The power where stereo backscatter already fails (§5.3).
-        let session = CoopSession::new(Scenario::bench(-50.0, 6.0, ProgramKind::News), 3.0);
-        let score = session.run_pesq();
+        let score = coop_pesq(Scenario::bench(-50.0, 6.0, ProgramKind::News), 3.0);
         assert!(score > 2.5, "coop PESQ at −50 dBm: {score}");
     }
 
     #[test]
     fn coop_beats_overlay() {
         let scenario = Scenario::bench(-30.0, 8.0, ProgramKind::RockMusic);
-        let coop = CoopSession::new(scenario, 3.0).run_pesq();
-        let overlay = crate::overlay::OverlayAudio::new(scenario, 3.0).run_pesq();
+        let coop = coop_pesq(scenario, 3.0);
+        let overlay =
+            scenario.with_workload(Workload::speech(3.0).with_payload_seed(scenario.seed ^ 0xBEEF));
+        let overlay = Pesq::default().evaluate(&FastSim, &overlay);
         assert!(coop > overlay + 0.7, "coop {coop} vs overlay {overlay}");
     }
 

@@ -302,7 +302,8 @@ pub fn phone_capture_filter() -> Fir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modem::encoder::test_bits;
+    use crate::sim::metric::{Ber, Metric};
+    use crate::sim::scenario::Workload;
     use fmbs_audio::program::ProgramKind;
     use fmbs_channel::fading::MotionProfile;
 
@@ -332,9 +333,12 @@ mod tests {
     fn overlay_ber_increases_with_rate() {
         // Fig. 8's headline shape at a mid-strength operating point.
         let scenario = Scenario::bench(-50.0, 8.0, ProgramKind::News);
-        let bits = test_bits(400, 3);
-        let ber100 = FastSim.overlay_data_ber(&scenario, &bits, Bitrate::Bps100);
-        let ber3200 = FastSim.overlay_data_ber(&scenario, &bits, Bitrate::Kbps3_2);
+        let ber = |rate| {
+            let s = scenario.with_workload(Workload::data(rate, 400).with_payload_seed(3));
+            Ber::default().evaluate(&FastSim, &s)
+        };
+        let ber100 = ber(Bitrate::Bps100);
+        let ber3200 = ber(Bitrate::Kbps3_2);
         assert!(
             ber100 <= ber3200,
             "100 bps BER {ber100} should not exceed 3.2 kbps BER {ber3200}"
@@ -356,11 +360,16 @@ mod tests {
         // Fig. 10: at −30 dBm, stereo backscatter beats overlay because
         // the news host leaves L−R almost empty.
         let scenario = Scenario::bench(-30.0, 4.0, ProgramKind::News);
-        let bits = test_bits(800, 5);
-        let overlay = FastSim.overlay_data_ber(&scenario, &bits, Bitrate::Kbps3_2);
-        let stereo = FastSim
-            .stereo_data_ber(&scenario, &bits, Bitrate::Kbps3_2)
-            .expect("pilot must be detected at -30 dBm");
+        let overlay =
+            scenario.with_workload(Workload::data(Bitrate::Kbps3_2, 800).with_payload_seed(5));
+        let stereo = scenario
+            .with_workload(Workload::stereo_data(Bitrate::Kbps3_2, 800).with_payload_seed(5));
+        assert!(
+            FastSim.run(&stereo).pilot_detected,
+            "pilot must be detected at -30 dBm"
+        );
+        let overlay = Ber::default().evaluate(&FastSim, &overlay);
+        let stereo = Ber::default().evaluate(&FastSim, &stereo);
         assert!(
             stereo <= overlay,
             "stereo BER {stereo} should not exceed overlay BER {overlay}"
@@ -369,12 +378,14 @@ mod tests {
 
     #[test]
     fn motion_degrades_ber() {
-        let bits = test_bits(1600, 7);
         // Operate near the margin so fading has something to break.
-        let standing = Scenario::fabric(MotionProfile::Standing);
-        let running = Scenario::fabric(MotionProfile::Running);
-        let ber_stand = FastSim.overlay_data_ber(&standing, &bits, Bitrate::Kbps1_6);
-        let ber_run = FastSim.overlay_data_ber(&running, &bits, Bitrate::Kbps1_6);
+        let ber = |motion| {
+            let s = Scenario::fabric(motion)
+                .with_workload(Workload::data(Bitrate::Kbps1_6, 1600).with_payload_seed(7));
+            Ber::default().evaluate(&FastSim, &s)
+        };
+        let ber_stand = ber(MotionProfile::Standing);
+        let ber_run = ber(MotionProfile::Running);
         assert!(
             ber_run >= ber_stand,
             "running BER {ber_run} below standing BER {ber_stand}"
@@ -391,8 +402,6 @@ mod tests {
 
     #[test]
     fn simulator_trait_fills_references() {
-        use crate::sim::scenario::Workload;
-        use crate::sim::Simulator;
         let s = Scenario::bench(-30.0, 4.0, ProgramKind::News)
             .with_workload(Workload::data(Bitrate::Bps100, 50));
         let out = Simulator::run(&FastSim, &s);

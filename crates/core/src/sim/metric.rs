@@ -486,6 +486,180 @@ mod tests {
         assert!(strong > weak + 15.0, "strong {strong} weak {weak}");
     }
 
+    // Paper claims per capability (§3.3). Each payload seed is the
+    // scenario seed salted per workload kind.
+
+    fn overlay_data(s: Scenario, bitrate: Bitrate, n_bits: usize) -> Scenario {
+        s.with_workload(Workload::data(bitrate, n_bits).with_payload_seed(s.seed ^ 0xDA7A))
+    }
+
+    fn overlay_speech(s: Scenario, secs: f64) -> Scenario {
+        s.with_workload(Workload::speech(secs).with_payload_seed(s.seed ^ 0xBEEF))
+    }
+
+    fn stereo_data(s: Scenario, bitrate: Bitrate, n_bits: usize) -> Scenario {
+        s.with_workload(Workload::stereo_data(bitrate, n_bits).with_payload_seed(s.seed ^ 0x57E0))
+    }
+
+    fn stereo_speech(s: Scenario, secs: f64) -> Scenario {
+        s.with_workload(Workload::stereo_speech(secs).with_payload_seed(s.seed ^ 0x5A5A))
+    }
+
+    #[test]
+    fn overlay_pesq_near_two_at_good_power() {
+        // Fig. 11: "PESQ is consistently close to 2 for all power numbers
+        // between −20 and −40 dBm at distances up to 20 feet."
+        let s = overlay_speech(Scenario::bench(-30.0, 10.0, ProgramKind::News), 4.0);
+        let score = Pesq::default().evaluate(&FastSim, &s);
+        assert!((score - 2.0).abs() < 0.8, "overlay PESQ {score}");
+    }
+
+    #[test]
+    fn overlay_pesq_degrades_with_weak_signal() {
+        let good = overlay_speech(Scenario::bench(-30.0, 8.0, ProgramKind::News), 3.0);
+        let bad = overlay_speech(Scenario::bench(-60.0, 18.0, ProgramKind::News), 3.0);
+        assert!(
+            Pesq::default().evaluate(&FastSim, &good)
+                > Pesq::default().evaluate(&FastSim, &bad) + 0.3
+        );
+    }
+
+    #[test]
+    fn hundred_bps_clean_at_all_powers_close_in() {
+        // Fig. 8a: "At a bit rate of 100 bps, the BER is nearly zero up to
+        // distances of 6 feet across all power levels between −20 and −60
+        // dBm."
+        for p in [-20.0, -40.0, -60.0] {
+            let s = overlay_data(
+                Scenario::bench(p, 5.0, ProgramKind::News),
+                Bitrate::Bps100,
+                200,
+            );
+            let ber = Ber::default().evaluate(&FastSim, &s);
+            assert!(ber < 0.02, "BER {ber} at {p} dBm / 5 ft");
+        }
+    }
+
+    #[test]
+    fn high_rate_needs_more_power() {
+        // Fig. 8c: 3.2 kbps fails at −60 dBm where 100 bps still works.
+        let s = Scenario::bench(-60.0, 8.0, ProgramKind::News);
+        let low = Ber::default().evaluate(&FastSim, &overlay_data(s, Bitrate::Bps100, 300));
+        let high = Ber::default().evaluate(&FastSim, &overlay_data(s, Bitrate::Kbps3_2, 300));
+        assert!(high > low, "3.2 kbps BER {high} not above 100 bps {low}");
+    }
+
+    #[test]
+    fn coding_extends_range() {
+        // §8: coding buys range — in the *waterfall* region (raw BER of a
+        // few percent) the rate-1/2 K=3 code roughly halves the error
+        // rate. Past the FM threshold collapse (raw BER > ~0.1)
+        // hard-decision Viterbi breaks down, as coding theory predicts.
+        // Individual draws at the waterfall are noisy, so both sides are
+        // averaged over several noise seeds.
+        use crate::modem::encoder::{test_bits, DataEncoder};
+        use crate::modem::fec;
+        use crate::sim::fast::FAST_AUDIO_RATE;
+        let (rate, n_bits) = (Bitrate::Kbps1_6, 800);
+        let seeds = [0x5EEDu64, 1, 2, 3, 4, 5];
+        let (mut raw, mut coded) = (0.0, 0.0);
+        for &seed in &seeds {
+            let s = Scenario::bench(-60.0, 10.5, ProgramKind::News).with_seed(seed);
+            raw += Ber::default().evaluate(&FastSim, &overlay_data(s, rate, n_bits));
+            // The information BER over `n_bits` message bits, which cost
+            // `2·(n_bits+2)` channel bits at the same symbol rate — half
+            // the throughput bought back as range.
+            let bits = test_bits(n_bits, seed ^ 0xDA7A);
+            let tx = fec::encode_for_tx(&bits, 8, 16);
+            let wave = DataEncoder::new(FAST_AUDIO_RATE, rate).encode(&tx);
+            let out = FastSim.run_payload(&s, &wave, false);
+            let rx = DataDecoder::new(FAST_AUDIO_RATE, rate).decode(&out.mono, 0, tx.len());
+            coded += bit_error_rate(&bits, &fec::decode_from_rx(&rx, n_bits, 8, 16));
+        }
+        raw /= seeds.len() as f64;
+        coded /= seeds.len() as f64;
+        assert!(raw > 0.0, "need raw errors in the waterfall region");
+        assert!(
+            coded < raw,
+            "mean coded BER {coded} must beat uncoded {raw} in the waterfall"
+        );
+
+        let collapsed = overlay_data(
+            Scenario::bench(-60.0, 15.0, ProgramKind::News),
+            rate,
+            n_bits,
+        );
+        assert!(
+            Ber::default().evaluate(&FastSim, &collapsed) > 0.1,
+            "collapse point should have heavy raw errors"
+        );
+    }
+
+    #[test]
+    fn mrc_reduces_ber() {
+        // Fig. 9's mechanism in the regime where our substrate produces
+        // errors to combine away: 1.6 kbps at −60 dBm / 12 ft, where
+        // threshold clicks hit each repetition independently.
+        let s = overlay_data(
+            Scenario::bench(-60.0, 12.0, ProgramKind::RockMusic),
+            Bitrate::Kbps1_6,
+            800,
+        );
+        let ber1 = BerMrc::new(1).evaluate(&FastSim, &s);
+        let ber2 = BerMrc::new(2).evaluate(&FastSim, &s);
+        let ber4 = BerMrc::new(4).evaluate(&FastSim, &s);
+        assert!(ber1 > 0.0, "no errors to combine away at the stress point");
+        assert!(
+            ber2 <= ber1 && ber4 <= ber2,
+            "MRC not monotone: {ber1} → {ber2} → {ber4}"
+        );
+        assert!(ber4 < ber1, "4x MRC must improve on single shot");
+    }
+
+    #[test]
+    fn stereo_pesq_beats_overlay_at_high_power() {
+        // Fig. 13 vs Fig. 11: "At high FM powers, the PESQ of stereo
+        // backscatter is much higher than overlay backscatter."
+        let scenario = Scenario::bench(-20.0, 6.0, ProgramKind::News);
+        let stereo = stereo_speech(scenario, 3.0);
+        assert_eq!(
+            PilotDetect.evaluate(&FastSim, &stereo),
+            1.0,
+            "pilot detected at -20 dBm"
+        );
+        let stereo = Pesq::default().evaluate(&FastSim, &stereo);
+        let overlay = Pesq::default().evaluate(&FastSim, &overlay_speech(scenario, 3.0));
+        assert!(
+            stereo > overlay + 0.5,
+            "stereo {stereo} vs overlay {overlay}"
+        );
+    }
+
+    #[test]
+    fn pilot_lost_at_low_power() {
+        // §5.3: "stereo backscatter … can therefore only be used in
+        // scenarios with strong ambient FM signals."
+        let s = stereo_data(
+            Scenario::bench(-55.0, 10.0, ProgramKind::News),
+            Bitrate::Kbps1_6,
+            200,
+        );
+        assert!(!FastSim.run(&s).pilot_detected);
+    }
+
+    #[test]
+    fn stereo_ber_low_at_minus_30() {
+        // Fig. 10's operating point: −30 dBm, close range.
+        let s = stereo_data(
+            Scenario::bench(-30.0, 3.0, ProgramKind::News),
+            Bitrate::Kbps1_6,
+            400,
+        );
+        assert_eq!(PilotDetect.evaluate(&FastSim, &s), 1.0, "pilot detected");
+        let ber = Ber::default().evaluate(&FastSim, &s);
+        assert!(ber < 0.02, "stereo BER {ber}");
+    }
+
     #[test]
     fn audio_snr_orders_with_link() {
         let near =

@@ -7,13 +7,13 @@
 //! and subtracts.
 //!
 //! ```text
-//! cargo run --release -p fmbs-examples --bin cooperative_decode
+//! cargo run --release --example cooperative_decode
 //! ```
 
 use fmbs_audio::program::ProgramKind;
-use fmbs_core::coop::CoopSession;
-use fmbs_core::overlay::OverlayAudio;
-use fmbs_core::sim::scenario::Scenario;
+use fmbs_core::sim::fast::FastSim;
+use fmbs_core::sim::metric::{CoopPesq, Metric, Pesq};
+use fmbs_core::sim::scenario::{Scenario, Workload};
 
 fn main() {
     println!("Cooperative backscatter: two phones as a MIMO canceller");
@@ -30,8 +30,16 @@ fn main() {
     for &p in &[-20.0, -30.0, -40.0, -50.0] {
         for &d in &[4.0, 10.0] {
             let scenario = Scenario::bench(p, d, ProgramKind::RockMusic);
-            let overlay = OverlayAudio::new(scenario, 2.5).run_pesq();
-            let coop = CoopSession::new(scenario, 2.5).run_pesq();
+            let seed = scenario.seed;
+            // Overlay: one phone hears host + payload speech.
+            let overlay =
+                scenario.with_workload(Workload::speech(2.5).with_payload_seed(seed ^ 0xBEEF));
+            let overlay = Pesq::default().evaluate(&FastSim, &overlay);
+            // Cooperative: the same speech behind a 13 kHz calibration
+            // pilot, decoded from both phones.
+            let coop =
+                scenario.with_workload(Workload::coop_audio(2.5).with_payload_seed(seed ^ 0xC0));
+            let coop = CoopPesq::default().evaluate(&FastSim, &coop);
             println!("{p:>8} {d:>10} {overlay:>12.2} {coop:>12.2}");
         }
     }

@@ -6,7 +6,7 @@
 //! multiplication became audio addition (§3.3 of the paper).
 //!
 //! ```text
-//! cargo run --release -p fmbs-examples --bin quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use fmbs_core::sim::physical::{PhysicalSim, PhysicalSimConfig};

@@ -3,15 +3,15 @@
 //! running.
 //!
 //! ```text
-//! cargo run --release -p fmbs-examples --bin smart_fabric
+//! cargo run --release --example smart_fabric
 //! ```
 
 use fmbs_channel::fading::MotionProfile;
 use fmbs_core::modem::frame::{FrameDecoder, FrameEncoder};
 use fmbs_core::modem::Bitrate;
-use fmbs_core::overlay::OverlayData;
 use fmbs_core::sim::fast::{FastSim, FAST_AUDIO_RATE};
-use fmbs_core::sim::scenario::Scenario;
+use fmbs_core::sim::metric::{Ber, BerMrc, Metric};
+use fmbs_core::sim::scenario::{Scenario, Workload};
 
 /// A vital-signs sample the shirt reports once per frame.
 #[derive(Debug)]
@@ -88,8 +88,13 @@ fn main() {
         }
 
         // Raw-BER characterisation per Fig. 17b.
-        let ber100 = OverlayData::new(scenario, Bitrate::Bps100, 200).run_ber();
-        let ber1600 = OverlayData::new(scenario, Bitrate::Kbps1_6, 400).run_ber_mrc(2);
+        let data = |rate, n_bits| {
+            scenario.with_workload(
+                Workload::data(rate, n_bits).with_payload_seed(scenario.seed ^ 0xDA7A),
+            )
+        };
+        let ber100 = Ber::default().evaluate(&FastSim, &data(Bitrate::Bps100, 200));
+        let ber1600 = BerMrc::new(2).evaluate(&FastSim, &data(Bitrate::Kbps1_6, 400));
         println!("  raw BER:  100 bps {ber100:.4}   1.6 kbps w/ 2x MRC {ber1600:.4}\n");
     }
 

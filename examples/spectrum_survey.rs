@@ -3,7 +3,7 @@
 //! channel with slotted Aloha.
 //!
 //! ```text
-//! cargo run --release -p fmbs-examples --bin spectrum_survey
+//! cargo run --release --example spectrum_survey
 //! ```
 
 use fmbs_core::mac::{assign_f_back, SlottedAloha};

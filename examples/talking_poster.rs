@@ -8,15 +8,15 @@
 //! the PESQ-like metric.
 //!
 //! ```text
-//! cargo run --release -p fmbs-examples --bin talking_poster
+//! cargo run --release --example talking_poster
 //! ```
 
 use fmbs_audio::program::ProgramKind;
 use fmbs_core::modem::frame::{FrameDecoder, FrameEncoder};
 use fmbs_core::modem::Bitrate;
-use fmbs_core::overlay::OverlayAudio;
 use fmbs_core::sim::fast::{FastSim, FAST_AUDIO_RATE};
-use fmbs_core::sim::scenario::Scenario;
+use fmbs_core::sim::metric::{Metric, Pesq};
+use fmbs_core::sim::scenario::{Scenario, Workload};
 
 fn main() {
     println!("Talking poster at a bus stop");
@@ -50,8 +50,9 @@ fn main() {
     }
 
     // --- audio: a music snippet over the news programme ----------------
-    let audio_exp = OverlayAudio::new(scenario, 3.0);
-    let score = audio_exp.run_pesq();
+    let clip =
+        scenario.with_workload(Workload::speech(3.0).with_payload_seed(scenario.seed ^ 0xBEEF));
+    let score = Pesq::default().evaluate(&FastSim, &clip);
     println!("\nposter overlays a 3 s audio clip on the ambient news station");
     println!("PESQ-like score of the received composite: {score:.2}");
     println!("(the paper's overlay operating point is ~2: clearly audible payload)");

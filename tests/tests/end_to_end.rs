@@ -5,8 +5,9 @@ use fmbs_audio::program::ProgramKind;
 use fmbs_core::modem::frame::{FrameDecoder, FrameEncoder};
 use fmbs_core::modem::Bitrate;
 use fmbs_core::sim::fast::{FastSim, FAST_AUDIO_RATE};
+use fmbs_core::sim::metric::{Ber, CoopPesq, Metric, Pesq, PilotDetect};
 use fmbs_core::sim::physical::{PhysicalSim, PhysicalSimConfig};
-use fmbs_core::sim::scenario::Scenario;
+use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_fm::transmitter::StationConfig;
 use fmbs_integration_tests::tone;
 
@@ -101,9 +102,6 @@ fn fast_and_physical_tiers_agree() {
 /// must agree the link is dead.
 #[test]
 fn tiers_agree_on_ber_across_held_out_scenarios() {
-    use fmbs_core::modem::Bitrate;
-    use fmbs_core::sim::metric::{Ber, Metric};
-    use fmbs_core::sim::scenario::Workload;
     use fmbs_core::sim::Tier;
     let ber_at = |p: f64, d: f64, sim: &dyn fmbs_core::sim::Simulator| {
         let s = Scenario::bench(p, d, ProgramKind::News)
@@ -145,10 +143,10 @@ fn tiers_agree_on_ber_across_held_out_scenarios() {
 /// Overlay data rides over every programme genre.
 #[test]
 fn all_genres_carry_data() {
-    let bits = fmbs_core::modem::encoder::test_bits(300, 5);
     for genre in ProgramKind::BROADCAST_GENRES {
-        let s = Scenario::bench(-30.0, 6.0, genre);
-        let ber = FastSim.overlay_data_ber(&s, &bits, Bitrate::Bps100);
+        let s = Scenario::bench(-30.0, 6.0, genre)
+            .with_workload(Workload::data(Bitrate::Bps100, 300).with_payload_seed(5));
+        let ber = Ber::default().evaluate(&FastSim, &s);
         assert!(ber < 0.02, "{genre:?}: BER {ber}");
     }
 }
@@ -194,15 +192,19 @@ fn coop_cancels_through_real_agc() {
 #[test]
 fn capability_ranking_matches_paper() {
     let scenario = Scenario::bench(-25.0, 6.0, ProgramKind::News);
-    let overlay = fmbs_core::overlay::OverlayAudio::new(scenario, 2.5).run_pesq();
-    let stereo = fmbs_core::stereo_bs::StereoBackscatter::new(
-        scenario,
-        fmbs_core::stereo_bs::StereoHost::StereoNews,
-    )
-    .run_pesq(2.5)
-    .value()
-    .expect("pilot detected at -25 dBm");
-    let coop = fmbs_core::coop::CoopSession::new(scenario, 2.5).run_pesq();
+    let seed = scenario.seed;
+    let overlay = scenario.with_workload(Workload::speech(2.5).with_payload_seed(seed ^ 0xBEEF));
+    let overlay = Pesq::default().evaluate(&FastSim, &overlay);
+    let stereo =
+        scenario.with_workload(Workload::stereo_speech(2.5).with_payload_seed(seed ^ 0x5A5A));
+    assert_eq!(
+        PilotDetect.evaluate(&FastSim, &stereo),
+        1.0,
+        "pilot detected at -25 dBm"
+    );
+    let stereo = Pesq::default().evaluate(&FastSim, &stereo);
+    let coop = scenario.with_workload(Workload::coop_audio(2.5).with_payload_seed(seed ^ 0xC0));
+    let coop = CoopPesq::default().evaluate(&FastSim, &coop);
     assert!(
         stereo > overlay,
         "stereo {stereo:.2} must beat overlay {overlay:.2}"

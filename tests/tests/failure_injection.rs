@@ -7,7 +7,8 @@ use fmbs_core::coop::CooperativeDecoder;
 use fmbs_core::modem::frame::{FrameDecoder, FrameEncoder};
 use fmbs_core::modem::Bitrate;
 use fmbs_core::sim::fast::{FastSim, FAST_AUDIO_RATE};
-use fmbs_core::sim::scenario::Scenario;
+use fmbs_core::sim::metric::{Ber, Metric};
+use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_integration_tests::tone;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,9 +84,9 @@ fn degenerate_audio_is_handled() {
 /// suspiciously clean decode.
 #[test]
 fn dead_link_yields_chance_level_ber() {
-    let s = Scenario::bench(-60.0, 20.0, ProgramKind::RockMusic);
-    let bits = fmbs_core::modem::encoder::test_bits(400, 3);
-    let ber = FastSim.overlay_data_ber(&s, &bits, Bitrate::Kbps3_2);
+    let s = Scenario::bench(-60.0, 20.0, ProgramKind::RockMusic)
+        .with_workload(Workload::data(Bitrate::Kbps3_2, 400).with_payload_seed(3));
+    let ber = Ber::default().evaluate(&FastSim, &s);
     assert!(ber > 0.2, "dead link BER {ber} is implausibly low");
 }
 

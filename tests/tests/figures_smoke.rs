@@ -5,8 +5,18 @@
 use fmbs_audio::program::ProgramKind;
 use fmbs_channel::fading::MotionProfile;
 use fmbs_core::modem::Bitrate;
-use fmbs_core::overlay::OverlayData;
-use fmbs_core::sim::scenario::Scenario;
+use fmbs_core::sim::fast::FastSim;
+use fmbs_core::sim::metric::{Ber, BerMrc, Metric};
+use fmbs_core::sim::scenario::{Scenario, Workload};
+
+/// `s` carrying `n_bits` of overlay data, seeded from the scenario.
+fn overlay_data(s: Scenario, bitrate: Bitrate, n_bits: usize) -> Scenario {
+    s.with_workload(Workload::data(bitrate, n_bits).with_payload_seed(s.seed ^ 0xDA7A))
+}
+
+fn overlay_ber(s: Scenario, bitrate: Bitrate, n_bits: usize) -> f64 {
+    Ber::default().evaluate(&FastSim, &overlay_data(s, bitrate, n_bits))
+}
 
 #[test]
 fn fig8_shape_rate_vs_range() {
@@ -14,8 +24,8 @@ fn fig8_shape_rate_vs_range() {
     // collapses (clicks flip its short symbols first).
     let far = 19.0;
     let s = Scenario::bench(-50.0, far, ProgramKind::News);
-    let ber_low = OverlayData::new(s, Bitrate::Bps100, 300).run_ber();
-    let ber_high = OverlayData::new(s, Bitrate::Kbps3_2, 300).run_ber();
+    let ber_low = overlay_ber(s, Bitrate::Bps100, 300);
+    let ber_high = overlay_ber(s, Bitrate::Kbps3_2, 300);
     assert!(ber_low < 0.05, "100 bps at {far} ft: {ber_low}");
     assert!(
         ber_high > ber_low,
@@ -29,7 +39,7 @@ fn fig8_shape_power_ordering() {
     let mut prev = -1.0;
     for p in [-20.0, -40.0, -60.0] {
         let s = Scenario::bench(p, 12.0, ProgramKind::RockMusic);
-        let ber = OverlayData::new(s, Bitrate::Kbps1_6, 400).run_ber();
+        let ber = overlay_ber(s, Bitrate::Kbps1_6, 400);
         assert!(
             ber + 0.02 >= prev,
             "BER not (weakly) increasing as power drops: {ber} after {prev}"
@@ -41,9 +51,9 @@ fn fig8_shape_power_ordering() {
 #[test]
 fn fig9_shape_mrc_gain() {
     let s = Scenario::bench(-40.0, 19.0, ProgramKind::RockMusic);
-    let exp = OverlayData::new(s, Bitrate::Kbps1_6, 400);
-    let no_mrc = exp.run_ber_mrc(1);
-    let with_mrc = exp.run_ber_mrc(2);
+    let s = overlay_data(s, Bitrate::Kbps1_6, 400);
+    let no_mrc = BerMrc::new(1).evaluate(&FastSim, &s);
+    let with_mrc = BerMrc::new(2).evaluate(&FastSim, &s);
     assert!(
         with_mrc <= no_mrc,
         "2x MRC {with_mrc} must not exceed single {no_mrc}"
@@ -70,10 +80,7 @@ fn fig14_shape_car_outranges_phone() {
 fn fig17_shape_motion_ordering() {
     // Fabric BER (1.6 kbps) must not improve with motion; 100 bps must
     // stay reliable even running.
-    let ber = |m: MotionProfile, rate: Bitrate| {
-        let s = Scenario::fabric(m);
-        OverlayData::new(s, rate, 400).run_ber()
-    };
+    let ber = |m: MotionProfile, rate: Bitrate| overlay_ber(Scenario::fabric(m), rate, 400);
     let stand = ber(MotionProfile::Standing, Bitrate::Kbps1_6);
     let run = ber(MotionProfile::Running, Bitrate::Kbps1_6);
     assert!(run >= stand, "running {run} vs standing {stand}");
