@@ -5,8 +5,6 @@
 //! average power of the other audio frequencies … `P_5kHz / (Σ_f P_f −
 //! P_5kHz)`". It backs Figs. 6, 7 and 14a.
 
-use fmbs_dsp::stats::power;
-
 /// Single-tone SNR in dB: tone power at `f_tone` versus all other audio
 /// power, over the analysis segment.
 ///
@@ -39,50 +37,6 @@ pub fn tone_snr_db(audio: &[f64], sample_rate: f64, f_tone: f64) -> f64 {
     p_resid /= n;
     let p_tone = (a * a + b * b) / 2.0;
     10.0 * (p_tone.max(1e-300) / p_resid.max(1e-15)).log10()
-}
-
-/// Tone SNR skipping a leading transient (filters settling, PLL lock).
-pub fn tone_snr_db_settled(audio: &[f64], sample_rate: f64, f_tone: f64, skip: usize) -> f64 {
-    if skip >= audio.len() {
-        return f64::NEG_INFINITY;
-    }
-    tone_snr_db(&audio[skip..], sample_rate, f_tone)
-}
-
-/// Segmental SNR between a clean reference and a degraded signal, in dB —
-/// averaged over 32 ms frames, each clamped to [−10, 35] dB as in speech-
-/// quality practice. Inputs must be time-aligned and equal-length.
-pub fn segmental_snr_db(reference: &[f64], degraded: &[f64], sample_rate: f64) -> f64 {
-    let n = reference.len().min(degraded.len());
-    if n == 0 {
-        return f64::NEG_INFINITY;
-    }
-    let frame = ((sample_rate * 0.032) as usize).max(16);
-    let mut acc = 0.0;
-    let mut frames = 0usize;
-    let mut i = 0;
-    while i + frame <= n {
-        let r = &reference[i..i + frame];
-        let d = &degraded[i..i + frame];
-        let p_sig = power(r);
-        if p_sig > 1e-10 {
-            let p_err = r
-                .iter()
-                .zip(d.iter())
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                / frame as f64;
-            let snr = 10.0 * (p_sig / p_err.max(1e-15)).log10();
-            acc += snr.clamp(-10.0, 35.0);
-            frames += 1;
-        }
-        i += frame;
-    }
-    if frames == 0 {
-        f64::NEG_INFINITY
-    } else {
-        acc / frames as f64
-    }
 }
 
 #[cfg(test)]
@@ -144,29 +98,5 @@ mod tests {
     #[test]
     fn empty_input_is_neg_infinity() {
         assert_eq!(tone_snr_db(&[], FS, 1_000.0), f64::NEG_INFINITY);
-        assert_eq!(
-            tone_snr_db_settled(&[1.0; 4], FS, 1_000.0, 10),
-            f64::NEG_INFINITY
-        );
-    }
-
-    #[test]
-    fn segmental_snr_of_identical_signals_is_max() {
-        let sig = tone(700.0, 48_000, 0.5);
-        let s = segmental_snr_db(&sig, &sig, FS);
-        assert!((s - 35.0).abs() < 1e-9, "clamped max {s}");
-    }
-
-    #[test]
-    fn segmental_snr_decreases_with_noise() {
-        let n = 96_000;
-        let sig = tone(700.0, n, 0.5);
-        let mk = |rms: f64, seed: u64| {
-            let nz = noise(n, rms, seed);
-            let deg: Vec<f64> = sig.iter().zip(&nz).map(|(a, b)| a + b).collect();
-            segmental_snr_db(&sig, &deg, FS)
-        };
-        assert!(mk(0.01, 1) > mk(0.1, 2));
-        assert!(mk(0.1, 2) > mk(0.5, 3));
     }
 }

@@ -305,7 +305,7 @@ fn fig8(grid: Grid, bitrate: Bitrate, tier: Tier) -> Experiment {
         .distances_ft(grid.distances_ft())
         .programs([ProgramKind::News, ProgramKind::RockMusic])
         .repeats(grid.repeats())
-        .run_on(tier, &Ber::default());
+        .run_on(tier, &Ber);
     Experiment {
         id: id.into(),
         title: tier_title(
@@ -363,7 +363,8 @@ pub fn fig8c_tier(grid: Grid, tier: Tier) -> Experiment {
 /// at −40 dBm the substrate produces no errors to combine away; the MRC
 /// mechanism is therefore exercised in the noise/click-limited regime at
 /// −60 dBm, where repetitions see independent impairments exactly as
-/// §3.4 assumes. Documented in EXPERIMENTS.md.
+/// §3.4 assumes. The title's "see EXPERIMENTS.md" names a file that was
+/// never written; it stays because the fig9 goldens pin the title.
 pub fn fig9(grid: Grid) -> Experiment {
     fig9_tier(grid, Tier::Fast)
 }
@@ -426,7 +427,7 @@ pub fn fig10_tier(grid: Grid, tier: Tier) -> Experiment {
             let results = SweepBuilder::new(base.with_workload(workload))
                 .distances_ft([1.0, 2.0, 3.0, 4.0])
                 .repeats(grid.repeats())
-                .run_on(tier, &Ber::default());
+                .run_on(tier, &Ber);
             series.push(Series::new(
                 format!("{mode}  {rate}"),
                 results.series(|v| v.scenario.distance_ft),
@@ -455,7 +456,7 @@ pub fn fig11_tier(grid: Grid, tier: Tier) -> Experiment {
     let results = SweepBuilder::new(base)
         .powers_dbm(grid.powers_dbm())
         .distances_ft(grid.distances_ft())
-        .run_on(tier, &Pesq::default());
+        .run_on(tier, &Pesq);
     Experiment {
         id: "fig11".into(),
         title: tier_title(tier, "PESQ with overlay backscatter"),
@@ -479,7 +480,7 @@ pub fn fig12_tier(grid: Grid, tier: Tier) -> Experiment {
     let results = SweepBuilder::new(base)
         .powers_dbm([-20.0, -30.0, -40.0, -50.0])
         .distances_ft(grid.distances_ft())
-        .run_on(tier, &CoopPesq::default());
+        .run_on(tier, &CoopPesq);
     Experiment {
         id: "fig12".into(),
         title: tier_title(
@@ -502,7 +503,7 @@ fn fig13(grid: Grid, id: &str, title: &str, tier: Tier) -> Experiment {
     let results = SweepBuilder::new(base)
         .powers_dbm([-20.0, -30.0, -40.0])
         .distances_ft(grid.distances_ft())
-        .run_on(tier, &Pesq::default());
+        .run_on(tier, &Pesq);
     Experiment {
         id: id.into(),
         title: tier_title(tier, title),
@@ -570,7 +571,7 @@ pub fn fig14_tier(grid: Grid, tier: Tier) -> Experiment {
     .powers_dbm(powers)
     .distances_ft(distances)
     .repeats(grid.repeats())
-    .run_on(tier, &Pesq::default());
+    .run_on(tier, &Pesq);
     // Interleave as the paper's panel order: SNR then PESQ per power.
     let mut series = Vec::new();
     for &p in &powers {
@@ -616,7 +617,7 @@ pub fn fig17_tier(grid: Grid, tier: Tier) -> Experiment {
     };
     let s100 = run(
         Workload::data(Bitrate::Bps100, grid.data_bits().min(300)),
-        &Ber::default(),
+        &Ber,
     );
     // The paper reports 1.6 kbps *with 2x MRC* for the shirt.
     let s1600 = run(
@@ -708,7 +709,7 @@ pub fn rates_table_tier(grid: Grid, tier: Tier) -> Experiment {
     let results = SweepBuilder::new(base)
         .bitrates(Bitrate::ALL.iter().copied())
         .repeats(grid.repeats())
-        .run_on(tier, &Ber::default());
+        .run_on(tier, &Ber);
     let pts = results.series(|v| match v.scenario.workload {
         Workload::Data { bitrate, .. } => bitrate.symbol_rate(),
         _ => unreachable!(),
@@ -740,7 +741,6 @@ pub fn ablation(_grid: Grid) -> Experiment {
         .with_workload(Workload::tone(1_000.0, 0.3));
     let square_snr = ToneSnr {
         skip_fraction: 1.0 / 3.0,
-        ..ToneSnr::default()
     }
     .evaluate(&sim, &scenario);
 
@@ -1675,7 +1675,7 @@ pub fn calibration_ber(grid: Grid) -> Experiment {
         title: "Tier calibration: fast vs physical BER (1.6 kbps overlay)".into(),
         x_label: "grid cell (power-major)".into(),
         y_label: "BER / |delta BER|".into(),
-        series: cross_tier_series(&sweep, &Ber::default(), "BER", TIER_BER_BUDGET),
+        series: cross_tier_series(&sweep, &Ber, "BER", TIER_BER_BUDGET),
         paper_expectation:
             "the audio-domain equivalence (section 3.3) holds: fast-tier BER tracks the RF-rate \
              reference within the documented budget on every cell"
@@ -1700,7 +1700,7 @@ pub fn calibration_pesq(grid: Grid) -> Experiment {
         title: "Tier calibration: fast vs physical PESQ (overlay speech)".into(),
         x_label: "grid cell (power-major)".into(),
         y_label: "PESQ / |delta PESQ|".into(),
-        series: cross_tier_series(&sweep, &Pesq::default(), "PESQ", TIER_PESQ_BUDGET),
+        series: cross_tier_series(&sweep, &Pesq, "PESQ", TIER_PESQ_BUDGET),
         paper_expectation:
             "audio quality scored through the full RF chain matches the fast tier within the \
              documented budget on every cell"

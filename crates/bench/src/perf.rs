@@ -111,11 +111,11 @@ pub fn measure(label: &str, samples: usize) -> PerfRecord {
     let mut cache = CacheStats::default();
     for _ in 0..samples.max(1) {
         let t = Instant::now();
-        let results = grid.run_serial(&FastSim, &Ber::default());
+        let results = grid.run_serial(&FastSim, &Ber);
         serial_best = serial_best.min(t.elapsed().as_secs_f64());
         cache = results.cache;
         let t = Instant::now();
-        std::hint::black_box(grid.run(&FastSim, &Ber::default()));
+        std::hint::black_box(grid.run(&FastSim, &Ber));
         parallel_best = parallel_best.min(t.elapsed().as_secs_f64());
     }
     PerfRecord {

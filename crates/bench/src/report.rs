@@ -34,7 +34,8 @@ pub struct Experiment {
     pub y_label: String,
     /// The series.
     pub series: Vec<Series>,
-    /// What the paper reports, for EXPERIMENTS.md comparison.
+    /// What the paper reports, in prose. `render_text` prints it with
+    /// the table, and [`crate::check`] turns it into executable checks.
     pub paper_expectation: String,
 }
 

@@ -151,20 +151,6 @@ pub struct LinkBudget {
     pub audio_snr: Db,
 }
 
-impl LinkBudget {
-    /// Whether the FM demodulator is above threshold (audio intelligible).
-    pub fn above_threshold(&self) -> bool {
-        self.cnr.0 >= FM_THRESHOLD_CNR_DB
-    }
-
-    /// Linear amplitude of the audio-domain noise relative to a full-scale
-    /// (±1) audio signal, for the fast audio-domain simulator:
-    /// `n_rms = 10^(−SNR/20)`.
-    pub fn audio_noise_rms(&self) -> f64 {
-        10f64.powf(-self.audio_snr.0 / 20.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +171,7 @@ mod tests {
             "audio SNR {} dB",
             b.audio_snr
         );
-        assert!(b.above_threshold());
+        assert!(b.cnr.0 >= FM_THRESHOLD_CNR_DB, "below FM threshold");
     }
 
     #[test]
@@ -264,16 +250,5 @@ mod tests {
         let at = audio_snr_from_cnr(FM_THRESHOLD_CNR_DB);
         let below = audio_snr_from_cnr(FM_THRESHOLD_CNR_DB - 6.0);
         assert!(at - below > 20.0, "collapse {} → {}", at, below);
-    }
-
-    #[test]
-    fn audio_noise_rms_inverts_snr() {
-        let b = LinkBudget {
-            backscatter_at_rx: Dbm(-70.0),
-            noise_floor: Dbm(-100.0),
-            cnr: Db(30.0),
-            audio_snr: Db(40.0),
-        };
-        assert!((b.audio_noise_rms() - 0.01).abs() < 1e-12);
     }
 }

@@ -58,12 +58,6 @@ impl AwgnSource {
         }
     }
 
-    /// Creates a source for a target SNR in dB against a unit-power
-    /// signal.
-    pub fn for_snr_db(snr_db: f64, seed: u64) -> Self {
-        AwgnSource::new(10f64.powf(-snr_db / 10.0), seed)
-    }
-
     /// One complex noise sample.
     #[inline]
     pub fn next_complex(&mut self) -> Complex {
@@ -83,13 +77,6 @@ impl AwgnSource {
     pub fn corrupt(&mut self, iq: &mut [Complex]) {
         for z in iq.iter_mut() {
             *z += self.next_complex();
-        }
-    }
-
-    /// Adds noise to a real buffer in place.
-    pub fn corrupt_real(&mut self, xs: &mut [f64]) {
-        for x in xs.iter_mut() {
-            *x += self.next_real();
         }
     }
 
@@ -151,15 +138,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_complex(), b.next_complex());
         }
-    }
-
-    #[test]
-    fn snr_constructor_calibration() {
-        let mut src = AwgnSource::for_snr_db(20.0, 9);
-        let n = 200_000;
-        let p: f64 = (0..n).map(|_| src.next_complex().norm_sqr()).sum::<f64>() / n as f64;
-        // SNR 20 dB vs unit power ⇒ noise power 0.01.
-        assert!((p - 0.01).abs() < 0.001, "noise power {p}");
     }
 
     #[test]

@@ -22,11 +22,6 @@ pub fn free_space_path_loss_db(d_m: f64, f_hz: f64) -> Db {
     Db(20.0 * (4.0 * std::f64::consts::PI * d_eff / lambda).log10())
 }
 
-/// Friis received power: `P_tx + G_tx + G_rx − FSPL`.
-pub fn friis_received_power(p_tx: Dbm, g_tx_db: Db, g_rx_db: Db, d_m: f64, f_hz: f64) -> Dbm {
-    p_tx + g_tx_db + g_rx_db - free_space_path_loss_db(d_m, f_hz)
-}
-
 /// Log-distance path-loss model with optional log-normal shadowing:
 /// `PL(d) = PL(d0) + 10·n·log10(d/d0) + X_σ`.
 #[derive(Debug, Clone)]
@@ -114,13 +109,6 @@ mod tests {
     fn near_field_clamp_prevents_gain() {
         let pl = free_space_path_loss_db(0.01, 100e6);
         assert!(pl.0 > 15.0, "near-field loss {pl}");
-    }
-
-    #[test]
-    fn friis_symmetry_in_gains() {
-        let a = friis_received_power(Dbm(0.0), Db(2.0), Db(3.0), 100.0, 100e6);
-        let b = friis_received_power(Dbm(0.0), Db(3.0), Db(2.0), 100.0, 100e6);
-        assert!((a.0 - b.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Link budgets are a classic source of silent unit bugs (adding dBm to
 //! dBm, multiplying dB…). The `Dbm` and `Db` newtypes make the legal
 //! operations explicit: `Dbm + Db = Dbm`, `Dbm − Dbm = Db`, and conversions
-//! to linear milliwatts/ratios are spelled out.
+//! to and from linear milliwatts are spelled out.
 
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Neg, Sub, SubAssign};
@@ -22,11 +22,6 @@ impl Dbm {
         10f64.powf(self.0 / 10.0)
     }
 
-    /// Converts to watts.
-    pub fn to_watts(self) -> f64 {
-        self.to_milliwatts() / 1_000.0
-    }
-
     /// Creates from linear milliwatts.
     pub fn from_milliwatts(mw: f64) -> Dbm {
         Dbm(10.0 * mw.log10())
@@ -42,28 +37,6 @@ impl Dbm {
     /// to give it this power.
     pub fn amplitude_vs_0dbm(self) -> f64 {
         10f64.powf(self.0 / 20.0)
-    }
-}
-
-impl Db {
-    /// Converts to a linear power ratio.
-    pub fn to_linear(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
-
-    /// Converts to a linear amplitude ratio.
-    pub fn to_amplitude(self) -> f64 {
-        10f64.powf(self.0 / 20.0)
-    }
-
-    /// Creates from a linear power ratio.
-    pub fn from_linear(ratio: f64) -> Db {
-        Db(10.0 * ratio.log10())
-    }
-
-    /// Creates from a linear amplitude ratio.
-    pub fn from_amplitude(ratio: f64) -> Db {
-        Db(20.0 * ratio.log10())
     }
 }
 
@@ -151,7 +124,6 @@ mod tests {
     #[test]
     fn zero_dbm_is_one_milliwatt() {
         assert!((Dbm(0.0).to_milliwatts() - 1.0).abs() < 1e-12);
-        assert!((Dbm(30.0).to_watts() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -169,8 +141,6 @@ mod tests {
     fn linear_round_trips() {
         for v in [-60.0, -35.15, 0.0, 17.0] {
             assert!((Dbm::from_milliwatts(Dbm(v).to_milliwatts()).0 - v).abs() < 1e-10);
-            assert!((Db::from_linear(Db(v).to_linear()).0 - v).abs() < 1e-10);
-            assert!((Db::from_amplitude(Db(v).to_amplitude()).0 - v).abs() < 1e-10);
         }
     }
 

@@ -11,21 +11,27 @@
 //!
 //! Two equations, two unknowns — subtract to recover `FM_back` with *no*
 //! programme interference. Two practical obstacles, both from the paper
-//! and both implemented here:
+//! and both handled here:
 //!
 //! 1. the receivers are not time-synchronised → "we resample the signals
 //!    on the two phones, in software, by a factor of ten" and
 //!    cross-correlate;
-//! 2. hardware gain control scales the audio differently → a 13 kHz
-//!    preamble pilot (and a least-squares projection) calibrates the
-//!    amplitude before subtraction.
+//! 2. hardware gain control scales the audio differently → a
+//!    least-squares projection of phone 2's host copy onto phone 1's
+//!    composite sets the amplitude before subtraction.
+//!
+//! The paper calibrates amplitude with a 13 kHz preamble pilot instead.
+//! The tag still sends that pilot ([`Workload::CoopAudio`]), but this
+//! decoder never measures it: [`CoopPesq`] only notches it out of the
+//! recovered audio before scoring.
+//!
+//! The experiment itself (Fig. 12) is [`CoopPesq`] evaluated on a
+//! [`Workload::CoopAudio`] scenario.
+//!
+//! [`Workload::CoopAudio`]: crate::sim::scenario::Workload::CoopAudio
+//! [`CoopPesq`]: crate::sim::metric::CoopPesq
 
-use crate::sim::fast::FastSim;
-use crate::sim::metric::{CoopPesq, Metric};
-use crate::sim::scenario::{Scenario, Workload};
-use crate::COOP_PILOT_HZ;
 use fmbs_dsp::corr::find_lag;
-use fmbs_dsp::goertzel::goertzel_power;
 use fmbs_dsp::resample::Upsampler;
 
 /// The §3.3 resampling factor.
@@ -90,8 +96,7 @@ impl CooperativeDecoder {
         let b = &s2[start2..start2 + n];
 
         // 4. Amplitude calibration: least-squares projection of the host
-        //    copy onto phone 1's composite (the 13 kHz pilot refines the
-        //    payload scale afterwards; see `pilot_scale`).
+        //    copy onto phone 1's composite.
         let dot_ab: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
         let dot_bb: f64 = b.iter().map(|y| y * y).sum();
         let gain = if dot_bb > 0.0 { dot_ab / dot_bb } else { 0.0 };
@@ -109,66 +114,16 @@ impl CooperativeDecoder {
             gain,
         }
     }
-
-    /// Measures the 13 kHz pilot amplitude over a segment — the paper's
-    /// AGC reference. Comparing the preamble pilot with the in-payload
-    /// pilot gives the scale factor to undo receiver gain changes.
-    pub fn pilot_amplitude(&self, audio: &[f64]) -> f64 {
-        (goertzel_power(audio, self.sample_rate, COOP_PILOT_HZ) * 4.0).sqrt()
-    }
-}
-
-/// Full cooperative experiment harness (Fig. 12).
-#[derive(Debug, Clone)]
-pub struct CoopSession {
-    /// The scenario (power, distance).
-    pub scenario: Scenario,
-    /// Payload duration in seconds.
-    pub duration_s: f64,
-    /// Simulated inter-phone delay in seconds (receivers start at
-    /// different times).
-    pub phone2_delay_s: f64,
-    /// Simulated phone-2 AGC gain relative to phone 1.
-    pub phone2_gain: f64,
-}
-
-impl CoopSession {
-    /// Creates a session with representative phone mismatches.
-    pub fn new(scenario: Scenario, duration_s: f64) -> Self {
-        CoopSession {
-            scenario,
-            duration_s,
-            phone2_delay_s: 0.0013,
-            phone2_gain: 0.62,
-        }
-    }
-
-    /// The fully specified scenario this session runs: payload speech
-    /// preceded by the low-power 13 kHz calibration pilot (§3.3: "a low
-    /// power pilot tone").
-    pub fn scenario(&self) -> Scenario {
-        self.scenario.with_workload(
-            Workload::coop_audio(self.duration_s).with_payload_seed(self.scenario.seed ^ 0xC0),
-        )
-    }
-
-    /// Runs the experiment: returns the recovered payload's PESQ-like
-    /// score against the clean payload.
-    pub fn run_pesq(&self) -> f64 {
-        CoopPesq {
-            phone2_delay_s: self.phone2_delay_s,
-            phone2_gain: self.phone2_gain,
-        }
-        .evaluate(&FastSim, &self.scenario())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::fast::FAST_AUDIO_RATE;
-    use crate::sim::metric::Pesq;
+    use crate::sim::fast::{FastSim, FAST_AUDIO_RATE};
+    use crate::sim::metric::{CoopPesq, Metric, Pesq};
+    use crate::sim::scenario::{Scenario, Workload};
     use fmbs_audio::program::ProgramKind;
+    use fmbs_dsp::goertzel::goertzel_power;
     use fmbs_dsp::TAU;
 
     /// Cooperative PESQ of `secs` of payload speech behind the 13 kHz
@@ -176,7 +131,7 @@ mod tests {
     fn coop_pesq(scenario: Scenario, secs: f64) -> f64 {
         let s = scenario
             .with_workload(Workload::coop_audio(secs).with_payload_seed(scenario.seed ^ 0xC0));
-        CoopPesq::default().evaluate(&FastSim, &s)
+        CoopPesq.evaluate(&FastSim, &s)
     }
 
     #[test]
@@ -236,18 +191,7 @@ mod tests {
         let coop = coop_pesq(scenario, 3.0);
         let overlay =
             scenario.with_workload(Workload::speech(3.0).with_payload_seed(scenario.seed ^ 0xBEEF));
-        let overlay = Pesq::default().evaluate(&FastSim, &overlay);
+        let overlay = Pesq.evaluate(&FastSim, &overlay);
         assert!(coop > overlay + 0.7, "coop {coop} vs overlay {overlay}");
-    }
-
-    #[test]
-    fn pilot_amplitude_measurement() {
-        let fs = FAST_AUDIO_RATE;
-        let sig: Vec<f64> = (0..48_000)
-            .map(|i| 0.08 * (TAU * COOP_PILOT_HZ * i as f64 / fs).sin())
-            .collect();
-        let dec = CooperativeDecoder::new(fs);
-        let amp = dec.pilot_amplitude(&sig);
-        assert!((amp - 0.08).abs() < 0.005, "measured pilot amplitude {amp}");
     }
 }

@@ -13,14 +13,10 @@
 //! * [`modem`] — §3.4's data layer: 2-FSK at 100 bps and FDM-4FSK at
 //!   1.6 / 3.2 kbps, non-coherent Goertzel detection, frame + CRC-16
 //!   packetisation, and maximal-ratio combining.
-//! * [`overlay`] — overlay backscatter: audio/data added on top of the
-//!   ambient programme.
-//! * [`stereo_bs`] — stereo backscatter: payload in the 23–53 kHz L−R
-//!   band, with pilot injection to flip mono stations into stereo mode.
-//! * [`coop`] — cooperative backscatter: two phones (one on the host
-//!   channel, one on the backscatter channel) forming a 2×1 MIMO
-//!   canceller with 10× resampling, cross-correlation sync and 13 kHz
-//!   pilot amplitude calibration.
+//! * [`coop`] — cooperative backscatter's decoder: two phones (one on the
+//!   host channel, one on the backscatter channel) forming a 2×1 MIMO
+//!   canceller with 10× resampling, cross-correlation sync and
+//!   least-squares amplitude matching.
 //! * [`sim`] — the simulation stack: an honest RF-rate physical simulator
 //!   (validates the multiplication→addition identity) and a calibrated
 //!   audio-domain fast simulator, both behind the [`sim::Simulator`]
@@ -29,7 +25,13 @@
 //!   [`sim::sweep::SweepBuilder`] engine that expands typed axes
 //!   (power × distance × rate × genre × motion × device, plus `repeats`
 //!   seed fan-out) into a scenario grid and executes it on parallel
-//!   workers with deterministic per-point seeding:
+//!   workers with deterministic per-point seeding. Each of the three
+//!   capabilities is one [`sim::scenario::Workload`] scored by one
+//!   [`sim::metric::Metric`]: overlay backscatter is `Workload::data` /
+//!   `Workload::speech` in the mono band, stereo backscatter is
+//!   `Workload::stereo_data` / `Workload::stereo_speech` in the 23–53 kHz
+//!   L−R band, and cooperative backscatter is `Workload::coop_audio`
+//!   scored by `CoopPesq`:
 //!
 //! ```
 //! use fmbs_core::prelude::*;
@@ -41,7 +43,7 @@
 //!     .powers_dbm([-20.0, -40.0])
 //!     .distances_ft([2.0, 6.0])
 //!     .repeats(2)
-//!     .run(&FastSim, &Ber::default());
+//!     .run(&FastSim, &Ber);
 //! let per_power = results.series_by(
 //!     |v| v.scenario.ambient_at_tag.0,
 //!     |v| v.scenario.distance_ft,
@@ -64,21 +66,18 @@ pub mod coop;
 pub mod harvest;
 pub mod mac;
 pub mod modem;
-pub mod overlay;
 pub mod power;
 pub mod sim;
-pub mod stereo_bs;
 pub mod tag;
 
 /// Convenience re-exports covering the main API surface.
 pub mod prelude {
-    pub use crate::coop::{CoopSession, CooperativeDecoder};
+    pub use crate::coop::CooperativeDecoder;
     pub use crate::harvest::{rf_harvest_uw, sustainability, SolarCell, Sustainability};
     pub use crate::mac::{assign_f_back, SlottedAloha};
     pub use crate::modem::decoder::DataDecoder;
     pub use crate::modem::encoder::DataEncoder;
     pub use crate::modem::Bitrate;
-    pub use crate::overlay::{OverlayAudio, OverlayData};
     pub use crate::power::{IcPowerModel, PowerBreakdown};
     pub use crate::sim::fast::{FastSim, FAST_AUDIO_RATE};
     pub use crate::sim::metric::{
@@ -88,7 +87,6 @@ pub mod prelude {
     pub use crate::sim::scenario::{ReceiverKind, Scenario, TagKind, Workload};
     pub use crate::sim::sweep::{SweepBuilder, SweepResults, SweepValue};
     pub use crate::sim::{SimOutput, Simulator, Tier};
-    pub use crate::stereo_bs::{StereoBackscatter, StereoHost, StereoOutcome};
     pub use crate::tag::{Tag, TagConfig};
 }
 

@@ -77,47 +77,6 @@ impl DataDecoder {
             }
         }
     }
-
-    /// Soft symbol quality: ratio (dB) between the winning tone's power
-    /// and the strongest losing tone, averaged over the decoded symbols.
-    /// Used as a link-quality indicator by the MAC layer.
-    pub fn mean_decision_margin_db(&self, audio: &[f64], offset: usize, n_symbols: usize) -> f64 {
-        let sps = self.samples_per_symbol();
-        let mut acc = 0.0;
-        let mut count = 0usize;
-        for s in 0..n_symbols {
-            let start = offset + s * sps;
-            let end = start + sps;
-            if end > audio.len() {
-                break;
-            }
-            let window = &audio[start..end];
-            // Margin is winner-vs-runner-up *within each decision*: the
-            // two FSK tones, or each FDM group's four tones (an FDM
-            // symbol legitimately contains four strong tones, one per
-            // group — comparing across groups would always report ~0 dB).
-            let groups: Vec<Vec<f64>> = match self.bitrate {
-                Bitrate::Bps100 => vec![vec![FSK_ZERO_HZ, FSK_ONE_HZ]],
-                _ => (0..FDM_GROUPS)
-                    .map(|g| (0..4).map(|i| fdm_tone_hz(4 * g + i)).collect())
-                    .collect(),
-            };
-            for freqs in groups {
-                let mut powers: Vec<f64> = freqs
-                    .iter()
-                    .map(|&f| goertzel_power(window, self.sample_rate, f))
-                    .collect();
-                powers.sort_by(|a, b| b.partial_cmp(a).unwrap());
-                acc += 10.0 * (powers[0] / powers[1].max(1e-18)).log10();
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            acc / count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,23 +150,6 @@ mod tests {
         let rx = dec.decode(&wave, 0, 20);
         assert_eq!(rx.len(), 10);
         assert_eq!(bit_error_rate(&bits, &rx[..10]), 0.0);
-    }
-
-    #[test]
-    fn decision_margin_reflects_noise() {
-        let bits = test_bits(80, 2);
-        let enc = DataEncoder::new(FS, Bitrate::Kbps1_6);
-        let clean = enc.encode(&bits);
-        let mut noisy = clean.clone();
-        let mut rng = StdRng::seed_from_u64(3);
-        for x in noisy.iter_mut() {
-            *x += 0.2 * (rng.gen::<f64>() * 2.0 - 1.0);
-        }
-        let dec = DataDecoder::new(FS, Bitrate::Kbps1_6);
-        let m_clean = dec.mean_decision_margin_db(&clean, 0, 10);
-        let m_noisy = dec.mean_decision_margin_db(&noisy, 0, 10);
-        assert!(m_clean > m_noisy, "{m_clean} vs {m_noisy}");
-        assert!(m_clean > 20.0);
     }
 
     #[test]

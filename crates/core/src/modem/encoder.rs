@@ -11,14 +11,15 @@ use fmbs_dsp::TAU;
 /// Fraction of the symbol ramped up/down with a raised cosine.
 const RAMP_FRACTION: f64 = 0.05;
 
+/// Peak amplitude of the emitted waveform (≤ 1.0 so the tag's FM
+/// deviation stays legal).
+const AMPLITUDE: f64 = 0.9;
+
 /// Encodes bit streams into FSK/FDM audio waveforms.
 #[derive(Debug, Clone)]
 pub struct DataEncoder {
     sample_rate: f64,
     bitrate: Bitrate,
-    /// Peak amplitude of the emitted waveform (≤ 1.0 so the tag's FM
-    /// deviation stays legal).
-    amplitude: f64,
 }
 
 impl DataEncoder {
@@ -31,15 +32,7 @@ impl DataEncoder {
         DataEncoder {
             sample_rate,
             bitrate,
-            amplitude: 0.9,
         }
-    }
-
-    /// Sets the peak amplitude (default 0.9).
-    pub fn with_amplitude(mut self, amplitude: f64) -> Self {
-        assert!(amplitude > 0.0 && amplitude <= 1.0);
-        self.amplitude = amplitude;
-        self
     }
 
     /// The configured bitrate.
@@ -90,7 +83,7 @@ impl DataEncoder {
     fn encode_symbol(&self, sym_bits: &[bool], out: &mut Vec<f64>) {
         let tones = self.symbol_tones(sym_bits);
         let sps = self.samples_per_symbol();
-        let per_tone = self.amplitude / tones.len() as f64;
+        let per_tone = AMPLITUDE / tones.len() as f64;
         let ramp = (sps as f64 * RAMP_FRACTION) as usize;
         let start = out.len();
         for k in 0..sps {

@@ -23,21 +23,6 @@ pub fn combine(recordings: &[Vec<f64>]) -> Vec<f64> {
     out
 }
 
-/// Splits one long recording containing `n` identical back-to-back
-/// transmissions of `tx_len` samples each and combines them. The common
-/// pattern for the paper's repeat-N experiments.
-pub fn combine_repetitions(recording: &[f64], tx_len: usize, n: usize) -> Vec<f64> {
-    assert!(n >= 1 && tx_len >= 1);
-    assert!(
-        recording.len() >= tx_len * n,
-        "recording shorter than {n} repetitions of {tx_len}"
-    );
-    let parts: Vec<Vec<f64>> = (0..n)
-        .map(|i| recording[i * tx_len..(i + 1) * tx_len].to_vec())
-        .collect();
-    combine(&parts)
-}
-
 /// Theoretical SNR gain of N-fold MRC in dB (up to `10·log10(N)` when the
 /// interference is uncorrelated across repetitions).
 pub fn ideal_gain_db(n: usize) -> f64 {
@@ -121,18 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn combine_repetitions_slices_correctly() {
-        let one: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let mut stream = one.clone();
-        stream.extend(&one);
-        stream.extend(&one);
-        let combined = combine_repetitions(&stream, 50, 3);
-        for (i, v) in combined.iter().enumerate() {
-            assert_eq!(*v, 3.0 * i as f64);
-        }
-    }
-
-    #[test]
     fn ideal_gains() {
         assert_eq!(ideal_gain_db(1), 0.0);
         assert!((ideal_gain_db(2) - 3.01).abs() < 0.01);
@@ -143,11 +116,5 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn empty_combine_panics() {
         let _ = combine(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than")]
-    fn short_recording_panics() {
-        let _ = combine_repetitions(&[0.0; 99], 50, 2);
     }
 }

@@ -26,9 +26,6 @@
 use super::metric::STEREO_PAYLOAD_GAIN;
 use super::scenario::{ReceiverKind, Scenario};
 use super::{SimOutput, Simulator};
-use crate::modem::decoder::DataDecoder;
-use crate::modem::encoder::DataEncoder;
-use crate::modem::{bit_error_rate, Bitrate};
 use fmbs_channel::backscatter_link::audio_snr_from_cnr;
 use fmbs_channel::car::CabinChain;
 use fmbs_channel::pathloss::gaussian;
@@ -247,32 +244,6 @@ impl FastSim {
             tx_bits: Vec::new(),
         }
     }
-
-    /// Convenience: full overlay-data run — encode `bits`, simulate,
-    /// decode, return the BER.
-    pub fn overlay_data_ber(&self, s: &Scenario, bits: &[bool], bitrate: Bitrate) -> f64 {
-        let enc = DataEncoder::new(FAST_AUDIO_RATE, bitrate);
-        let wave = enc.encode(bits);
-        let out = self.run_payload(s, &wave, false);
-        let dec = DataDecoder::new(FAST_AUDIO_RATE, bitrate);
-        let rx = dec.decode(&out.mono, 0, bits.len());
-        bit_error_rate(bits, &rx)
-    }
-
-    /// Convenience: stereo-backscatter data run (payload decoded from the
-    /// L−R channel). Returns `None` when the pilot was not detected (the
-    /// receiver stayed in mono mode — no stereo stream at all).
-    pub fn stereo_data_ber(&self, s: &Scenario, bits: &[bool], bitrate: Bitrate) -> Option<f64> {
-        let enc = DataEncoder::new(FAST_AUDIO_RATE, bitrate);
-        let wave = enc.encode(bits);
-        let out = self.run_payload(s, &wave, true);
-        if !out.pilot_detected {
-            return None;
-        }
-        let dec = DataDecoder::new(FAST_AUDIO_RATE, bitrate);
-        let rx = dec.decode(&out.difference, 0, bits.len());
-        Some(bit_error_rate(bits, &rx))
-    }
 }
 
 impl Simulator for FastSim {
@@ -302,6 +273,7 @@ pub fn phone_capture_filter() -> Fir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modem::Bitrate;
     use crate::sim::metric::{Ber, Metric};
     use crate::sim::scenario::Workload;
     use fmbs_audio::program::ProgramKind;
@@ -335,7 +307,7 @@ mod tests {
         let scenario = Scenario::bench(-50.0, 8.0, ProgramKind::News);
         let ber = |rate| {
             let s = scenario.with_workload(Workload::data(rate, 400).with_payload_seed(3));
-            Ber::default().evaluate(&FastSim, &s)
+            Ber.evaluate(&FastSim, &s)
         };
         let ber100 = ber(Bitrate::Bps100);
         let ber3200 = ber(Bitrate::Kbps3_2);
@@ -368,8 +340,8 @@ mod tests {
             FastSim.run(&stereo).pilot_detected,
             "pilot must be detected at -30 dBm"
         );
-        let overlay = Ber::default().evaluate(&FastSim, &overlay);
-        let stereo = Ber::default().evaluate(&FastSim, &stereo);
+        let overlay = Ber.evaluate(&FastSim, &overlay);
+        let stereo = Ber.evaluate(&FastSim, &stereo);
         assert!(
             stereo <= overlay,
             "stereo BER {stereo} should not exceed overlay BER {overlay}"
@@ -382,7 +354,7 @@ mod tests {
         let ber = |motion| {
             let s = Scenario::fabric(motion)
                 .with_workload(Workload::data(Bitrate::Kbps1_6, 1600).with_payload_seed(7));
-            Ber::default().evaluate(&FastSim, &s)
+            Ber.evaluate(&FastSim, &s)
         };
         let ber_stand = ber(MotionProfile::Standing);
         let ber_run = ber(MotionProfile::Running);

@@ -3,11 +3,14 @@
 //! Every figure of the paper's evaluation is some measurement of a
 //! simulated scenario: a bit-error rate, a PESQ-like audio score, a tone
 //! SNR, a pilot-detection flag. A [`Metric`] packages one such
-//! measurement as a reusable value — the sweep engine evaluates a metric
-//! over a scenario grid, and the mode harnesses in [`crate::overlay`],
-//! [`crate::stereo_bs`] and [`crate::coop`] are thin adapters over the
-//! same implementations, so figure code and unit tests exercise one code
-//! path.
+//! measurement as a reusable value. The sweep engine evaluates a metric
+//! over a scenario grid, and a single experiment is one call to
+//! [`Metric::evaluate`], so figure code, examples and tests exercise one
+//! code path. Each §3.3 capability is a [`Workload`] plus a metric:
+//! overlay data and audio are [`Ber`]/[`BerMrc`] and [`Pesq`] on the
+//! mono-band workloads, stereo backscatter is the same metrics on the
+//! stereo-band workloads, and cooperative backscatter is [`CoopPesq`] on
+//! [`Workload::CoopAudio`].
 
 use super::scenario::{Scenario, Workload};
 use super::{SimOutput, Simulator};
@@ -53,39 +56,23 @@ fn expect_data(scenario: &Scenario, metric: &str) -> (crate::modem::Bitrate, boo
     }
 }
 
+/// BER reported when a stereo-band payload's pilot is not detected (no
+/// stereo stream at all ⇒ coin-flip decoding).
+const PILOT_LOST_BER: f64 = 0.5;
+
+/// PESQ-like score reported when a stereo-band payload's pilot is not
+/// detected (the receiver stays mono: no payload audio at all).
+const PILOT_LOST_PESQ: f64 = 0.0;
+
+/// Tone SNR (dB) reported when a stereo-band tone's pilot is not detected
+/// (the difference channel is all zeros — there is no tone to measure,
+/// and the raw estimator would return ≈ −2800 dB garbage that poisons
+/// averages).
+const PILOT_LOST_SNR_DB: f64 = 0.0;
+
 /// Single-transmission bit-error rate of a [`Workload::Data`] scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct Ber {
-    /// BER reported when a stereo-band payload's pilot is not detected
-    /// (no stereo stream at all ⇒ coin-flip decoding).
-    pub pilot_lost_ber: f64,
-}
-
-impl Default for Ber {
-    fn default() -> Self {
-        Ber {
-            pilot_lost_ber: 0.5,
-        }
-    }
-}
-
-impl Ber {
-    /// Scores an already-computed simulation output (single-run path for
-    /// callers that also need the raw output, e.g. pilot-loss checks).
-    pub fn score_output(
-        &self,
-        out: &SimOutput,
-        bitrate: crate::modem::Bitrate,
-        stereo: bool,
-    ) -> f64 {
-        if stereo && !out.pilot_detected {
-            return self.pilot_lost_ber;
-        }
-        let dec = DataDecoder::new(out.sample_rate, bitrate);
-        let rx = dec.decode(payload_channel(out, stereo), 0, out.tx_bits.len());
-        bit_error_rate(&out.tx_bits, &rx)
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Ber;
 
 impl Metric for Ber {
     fn name(&self) -> &'static str {
@@ -94,7 +81,13 @@ impl Metric for Ber {
 
     fn evaluate(&self, sim: &dyn Simulator, scenario: &Scenario) -> f64 {
         let (bitrate, stereo) = expect_data(scenario, "ber");
-        self.score_output(&sim.run(scenario), bitrate, stereo)
+        let out = sim.run(scenario);
+        if stereo && !out.pilot_detected {
+            return PILOT_LOST_BER;
+        }
+        let dec = DataDecoder::new(out.sample_rate, bitrate);
+        let rx = dec.decode(payload_channel(&out, stereo), 0, out.tx_bits.len());
+        bit_error_rate(&out.tx_bits, &rx)
     }
 }
 
@@ -108,27 +101,19 @@ pub struct BerMrc {
     /// [`Scenario::mrc_depth`], which is what makes MRC depth a sweep
     /// axis ([`crate::sim::sweep::SweepBuilder::mrc_depths`]).
     pub n: Option<usize>,
-    /// BER reported on pilot loss (stereo-band payloads).
-    pub pilot_lost_ber: f64,
 }
 
 impl BerMrc {
     /// `n`-fold combining at a fixed depth.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1);
-        BerMrc {
-            n: Some(n),
-            pilot_lost_ber: 0.5,
-        }
+        BerMrc { n: Some(n) }
     }
 
     /// Combining depth taken from each scenario's `mrc_depth` field —
     /// the form the `mrc_depths` sweep axis needs.
     pub fn from_scenario() -> Self {
-        BerMrc {
-            n: None,
-            pilot_lost_ber: 0.5,
-        }
+        BerMrc { n: None }
     }
 
     fn depth(&self, scenario: &Scenario) -> usize {
@@ -159,7 +144,7 @@ impl Metric for BerMrc {
             rep.program_seed = scenario.program_seed.wrapping_add(i as u64 * 7919);
             let out = sim.run(&rep);
             if stereo && !out.pilot_detected {
-                return self.pilot_lost_ber;
+                return PILOT_LOST_BER;
             }
             if i == 0 {
                 tx_bits = out.tx_bits.clone();
@@ -180,31 +165,7 @@ impl Metric for BerMrc {
 /// PESQ-like audio quality of a speech workload, scored against the
 /// clean payload reference.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Pesq {
-    /// Score reported when a stereo-band payload's pilot is not detected
-    /// (receiver stays mono: no payload audio at all).
-    pub pilot_lost_score: f64,
-}
-
-impl Pesq {
-    /// Scores an already-computed simulation output.
-    pub fn score_output(&self, out: &SimOutput, stereo: bool) -> f64 {
-        if stereo && !out.pilot_detected {
-            return self.pilot_lost_score;
-        }
-        if stereo {
-            // Receiver recovers payload as (L−R)/STEREO_PAYLOAD_GAIN.
-            let recovered: Vec<f64> = out
-                .difference
-                .iter()
-                .map(|x| x / STEREO_PAYLOAD_GAIN)
-                .collect();
-            pesq_like(&out.payload_ref, &recovered, out.sample_rate)
-        } else {
-            pesq_like(&out.payload_ref, &out.mono, out.sample_rate)
-        }
-    }
-}
+pub struct Pesq;
 
 impl Metric for Pesq {
     fn name(&self) -> &'static str {
@@ -212,30 +173,37 @@ impl Metric for Pesq {
     }
 
     fn evaluate(&self, sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.score_output(&sim.run(scenario), scenario.workload.stereo_band())
+        let out = sim.run(scenario);
+        if !scenario.workload.stereo_band() {
+            return pesq_like(&out.payload_ref, &out.mono, out.sample_rate);
+        }
+        if !out.pilot_detected {
+            return PILOT_LOST_PESQ;
+        }
+        // Receiver recovers payload as (L−R)/STEREO_PAYLOAD_GAIN.
+        let recovered: Vec<f64> = out
+            .difference
+            .iter()
+            .map(|x| x / STEREO_PAYLOAD_GAIN)
+            .collect();
+        pesq_like(&out.payload_ref, &recovered, out.sample_rate)
     }
 }
+
+/// Simulated start delay of phone 2 relative to phone 1, in seconds (the
+/// two receivers are not time-synchronised).
+const PHONE2_DELAY_S: f64 = 0.0013;
+
+/// Simulated phone-2 AGC gain relative to phone 1.
+const PHONE2_GAIN: f64 = 0.62;
 
 /// PESQ of cooperative (two-phone) decoding: phone 1 on the backscatter
 /// channel, phone 2 on the host channel; subtract to cancel the
 /// programme (§3.3). Needs a [`Workload::CoopAudio`] scenario so the
-/// payload carries the 13 kHz calibration pilot.
-#[derive(Debug, Clone, Copy)]
-pub struct CoopPesq {
-    /// Simulated inter-phone start delay in seconds.
-    pub phone2_delay_s: f64,
-    /// Simulated phone-2 AGC gain relative to phone 1.
-    pub phone2_gain: f64,
-}
-
-impl Default for CoopPesq {
-    fn default() -> Self {
-        CoopPesq {
-            phone2_delay_s: 0.0013,
-            phone2_gain: 0.62,
-        }
-    }
-}
+/// payload carries the 13 kHz calibration pilot, which is notched out of
+/// the recovered audio before scoring.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CoopPesq;
 
 impl Metric for CoopPesq {
     fn name(&self) -> &'static str {
@@ -253,11 +221,11 @@ impl Metric for CoopPesq {
 
         // Phone 2: host channel — the host programme nearly clean,
         // delayed and AGC-scaled, with a small independent noise floor.
-        let delay = (self.phone2_delay_s * rate) as usize;
+        let delay = (PHONE2_DELAY_S * rate) as usize;
         let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x2222);
         let mut phone2 = vec![0.0; out.host_mono.len()];
         for (i, p2) in phone2.iter_mut().enumerate().skip(delay) {
-            *p2 = self.phone2_gain * out.host_mono[i - delay] + 0.003 * gaussian(&mut rng);
+            *p2 = PHONE2_GAIN * out.host_mono[i - delay] + 0.003 * gaussian(&mut rng);
         }
 
         let dec = crate::coop::CooperativeDecoder::new(rate);
@@ -281,18 +249,12 @@ impl Metric for CoopPesq {
 pub struct ToneSnr {
     /// Fraction of the output skipped before measuring (filter settling).
     pub skip_fraction: f64,
-    /// SNR (dB) reported when a stereo-band tone's pilot is not detected
-    /// (the difference channel is all zeros — there is no tone to
-    /// measure, and the raw estimator would return ≈ −2800 dB garbage
-    /// that poisons averages).
-    pub pilot_lost_snr_db: f64,
 }
 
 impl Default for ToneSnr {
     fn default() -> Self {
         ToneSnr {
             skip_fraction: 0.25,
-            pilot_lost_snr_db: 0.0,
         }
     }
 }
@@ -316,7 +278,7 @@ impl Metric for ToneSnr {
         };
         let out = sim.run(scenario);
         if stereo_band && !out.pilot_detected {
-            return self.pilot_lost_snr_db;
+            return PILOT_LOST_SNR_DB;
         }
         let audio = payload_channel(&out, stereo_band);
         let skip = (audio.len() as f64 * self.skip_fraction) as usize;
@@ -399,14 +361,14 @@ mod tests {
 
     #[test]
     fn ber_clean_at_strong_link() {
-        let ber = Ber::default().evaluate(&FastSim, &data_scenario(-30.0, 4.0));
+        let ber = Ber.evaluate(&FastSim, &data_scenario(-30.0, 4.0));
         assert!(ber < 0.01, "ber {ber}");
     }
 
     #[test]
     fn ber_orders_with_link_quality() {
-        let good = Ber::default().evaluate(&FastSim, &data_scenario(-30.0, 4.0));
-        let bad = Ber::default().evaluate(&FastSim, &data_scenario(-60.0, 16.0));
+        let good = Ber.evaluate(&FastSim, &data_scenario(-30.0, 4.0));
+        let bad = Ber.evaluate(&FastSim, &data_scenario(-60.0, 16.0));
         assert!(bad > good, "bad {bad} vs good {good}");
     }
 
@@ -414,7 +376,7 @@ mod tests {
     fn stereo_ber_reports_pilot_loss() {
         let s = Scenario::bench(-60.0, 10.0, ProgramKind::News)
             .with_workload(Workload::stereo_data(Bitrate::Kbps1_6, 100));
-        let ber = Ber::default().evaluate(&FastSim, &s);
+        let ber = Ber.evaluate(&FastSim, &s);
         assert_eq!(ber, 0.5);
         assert_eq!(PilotDetect.evaluate(&FastSim, &s), 0.0);
     }
@@ -431,7 +393,7 @@ mod tests {
     #[test]
     fn mrc_of_one_matches_plain_ber() {
         let s = data_scenario(-50.0, 10.0);
-        let plain = Ber::default().evaluate(&FastSim, &s);
+        let plain = Ber.evaluate(&FastSim, &s);
         let mrc1 = BerMrc::new(1).evaluate(&FastSim, &s);
         assert!((plain - mrc1).abs() < 1e-12);
     }
@@ -443,7 +405,7 @@ mod tests {
         // so MRC-of-one stays exactly a plain run.
         let mut s = data_scenario(-50.0, 10.0);
         s.program_seed = 0x0BAD_CAFE; // ≠ s.seed, as the sweep engine sets it
-        let plain = Ber::default().evaluate(&FastSim, &s);
+        let plain = Ber.evaluate(&FastSim, &s);
         let mrc1 = BerMrc::new(1).evaluate(&FastSim, &s);
         assert!((plain - mrc1).abs() < 1e-12);
     }
@@ -454,8 +416,8 @@ mod tests {
             Scenario::bench(-30.0, 4.0, ProgramKind::News).with_workload(Workload::speech(2.0));
         let far =
             Scenario::bench(-60.0, 18.0, ProgramKind::News).with_workload(Workload::speech(2.0));
-        let p_near = Pesq::default().evaluate(&FastSim, &near);
-        let p_far = Pesq::default().evaluate(&FastSim, &far);
+        let p_near = Pesq.evaluate(&FastSim, &near);
+        let p_far = Pesq.evaluate(&FastSim, &far);
         assert!(p_near > p_far, "near {p_near} far {p_far}");
     }
 
@@ -464,8 +426,8 @@ mod tests {
         let overlay =
             Scenario::bench(-30.0, 6.0, ProgramKind::News).with_workload(Workload::speech(2.0));
         let coop = overlay.with_workload(Workload::coop_audio(2.0));
-        let p_overlay = Pesq::default().evaluate(&FastSim, &overlay);
-        let p_coop = CoopPesq::default().evaluate(&FastSim, &coop);
+        let p_overlay = Pesq.evaluate(&FastSim, &overlay);
+        let p_coop = CoopPesq.evaluate(&FastSim, &coop);
         assert!(
             p_coop > p_overlay,
             "coop {p_coop} must beat overlay {p_overlay}"
@@ -510,7 +472,7 @@ mod tests {
         // Fig. 11: "PESQ is consistently close to 2 for all power numbers
         // between −20 and −40 dBm at distances up to 20 feet."
         let s = overlay_speech(Scenario::bench(-30.0, 10.0, ProgramKind::News), 4.0);
-        let score = Pesq::default().evaluate(&FastSim, &s);
+        let score = Pesq.evaluate(&FastSim, &s);
         assert!((score - 2.0).abs() < 0.8, "overlay PESQ {score}");
     }
 
@@ -518,10 +480,7 @@ mod tests {
     fn overlay_pesq_degrades_with_weak_signal() {
         let good = overlay_speech(Scenario::bench(-30.0, 8.0, ProgramKind::News), 3.0);
         let bad = overlay_speech(Scenario::bench(-60.0, 18.0, ProgramKind::News), 3.0);
-        assert!(
-            Pesq::default().evaluate(&FastSim, &good)
-                > Pesq::default().evaluate(&FastSim, &bad) + 0.3
-        );
+        assert!(Pesq.evaluate(&FastSim, &good) > Pesq.evaluate(&FastSim, &bad) + 0.3);
     }
 
     #[test]
@@ -535,7 +494,7 @@ mod tests {
                 Bitrate::Bps100,
                 200,
             );
-            let ber = Ber::default().evaluate(&FastSim, &s);
+            let ber = Ber.evaluate(&FastSim, &s);
             assert!(ber < 0.02, "BER {ber} at {p} dBm / 5 ft");
         }
     }
@@ -544,8 +503,8 @@ mod tests {
     fn high_rate_needs_more_power() {
         // Fig. 8c: 3.2 kbps fails at −60 dBm where 100 bps still works.
         let s = Scenario::bench(-60.0, 8.0, ProgramKind::News);
-        let low = Ber::default().evaluate(&FastSim, &overlay_data(s, Bitrate::Bps100, 300));
-        let high = Ber::default().evaluate(&FastSim, &overlay_data(s, Bitrate::Kbps3_2, 300));
+        let low = Ber.evaluate(&FastSim, &overlay_data(s, Bitrate::Bps100, 300));
+        let high = Ber.evaluate(&FastSim, &overlay_data(s, Bitrate::Kbps3_2, 300));
         assert!(high > low, "3.2 kbps BER {high} not above 100 bps {low}");
     }
 
@@ -565,7 +524,7 @@ mod tests {
         let (mut raw, mut coded) = (0.0, 0.0);
         for &seed in &seeds {
             let s = Scenario::bench(-60.0, 10.5, ProgramKind::News).with_seed(seed);
-            raw += Ber::default().evaluate(&FastSim, &overlay_data(s, rate, n_bits));
+            raw += Ber.evaluate(&FastSim, &overlay_data(s, rate, n_bits));
             // The information BER over `n_bits` message bits, which cost
             // `2·(n_bits+2)` channel bits at the same symbol rate — half
             // the throughput bought back as range.
@@ -590,7 +549,7 @@ mod tests {
             n_bits,
         );
         assert!(
-            Ber::default().evaluate(&FastSim, &collapsed) > 0.1,
+            Ber.evaluate(&FastSim, &collapsed) > 0.1,
             "collapse point should have heavy raw errors"
         );
     }
@@ -627,8 +586,8 @@ mod tests {
             1.0,
             "pilot detected at -20 dBm"
         );
-        let stereo = Pesq::default().evaluate(&FastSim, &stereo);
-        let overlay = Pesq::default().evaluate(&FastSim, &overlay_speech(scenario, 3.0));
+        let stereo = Pesq.evaluate(&FastSim, &stereo);
+        let overlay = Pesq.evaluate(&FastSim, &overlay_speech(scenario, 3.0));
         assert!(
             stereo > overlay + 0.5,
             "stereo {stereo} vs overlay {overlay}"
@@ -656,7 +615,7 @@ mod tests {
             400,
         );
         assert_eq!(PilotDetect.evaluate(&FastSim, &s), 1.0, "pilot detected");
-        let ber = Ber::default().evaluate(&FastSim, &s);
+        let ber = Ber.evaluate(&FastSim, &s);
         assert!(ber < 0.02, "stereo BER {ber}");
     }
 

@@ -168,7 +168,28 @@ impl Workload {
         }
     }
 
-    /// Stereo-band data.
+    /// Stereo-band data (§3.3.1): the payload rides the under-used L−R
+    /// stream.
+    ///
+    /// Fig. 10 and Fig. 13 evaluate two host situations, and both run
+    /// this one workload:
+    ///
+    /// 1. **Mono host** — the station broadcasts no pilot, so the
+    ///    15–58 kHz region is empty. The tag backscatters
+    ///    `0.9·payload + 0.1·pilot`, *tricking* the receiver into stereo
+    ///    mode and owning the whole L−R stream; once the tag's pilot flips
+    ///    the receiver, the host contributes nothing to L−R.
+    /// 2. **Stereo news host** — the station has a pilot but its L−R
+    ///    stream carries almost nothing (same speech on both speakers).
+    ///    The tag rides the existing pilot ("we do not backscatter the
+    ///    pilot tone").
+    ///
+    /// Either way the receiver recovers the payload as L−R, which any
+    /// phone can compute from its left/right audio, and the fast
+    /// simulator's News difference channel is already empty. The cost:
+    /// the receiver must detect a 19 kHz pilot, which needs a strong
+    /// ambient signal (≳ −40 dBm, §5.3); the fast simulator gates it on
+    /// the backscatter RSSI.
     pub fn stereo_data(bitrate: Bitrate, n_bits: usize) -> Self {
         Workload::Data {
             bitrate,
@@ -187,7 +208,8 @@ impl Workload {
         }
     }
 
-    /// Stereo-band speech.
+    /// Stereo-band speech (Fig. 13); see [`Self::stereo_data`] for how
+    /// the tag gets the receiver into stereo mode.
     pub fn stereo_speech(secs: f64) -> Self {
         Workload::Speech {
             secs,

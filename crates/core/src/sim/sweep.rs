@@ -170,7 +170,7 @@ impl SweepResults {
 ///     .powers_dbm([-20.0, -40.0])
 ///     .distances_ft([2.0, 6.0])
 ///     .repeats(2)
-///     .run(&FastSim, &Ber::default());
+///     .run(&FastSim, &Ber);
 /// assert_eq!(results.points.len(), 8);
 /// ```
 #[derive(Debug, Clone)]
@@ -778,8 +778,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let sweep = ber_grid();
-        let serial = sweep.run_serial(&FastSim, &Ber::default());
-        let parallel = sweep.clone().threads(4).run(&FastSim, &Ber::default());
+        let serial = sweep.run_serial(&FastSim, &Ber);
+        let parallel = sweep.clone().threads(4).run(&FastSim, &Ber);
         assert_eq!(serial.points.len(), parallel.points.len());
         for (s, p) in serial.points.iter().zip(&parallel.points) {
             assert_eq!(s.coords, p.coords);
@@ -800,11 +800,8 @@ mod tests {
         // whose points share (program_seed, programme) and payload
         // derivations must actually hit.
         let sweep = ber_grid();
-        let cached = sweep.run_serial(&FastSim, &Ber::default());
-        let uncached = sweep
-            .clone()
-            .cache(false)
-            .run_serial(&FastSim, &Ber::default());
+        let cached = sweep.run_serial(&FastSim, &Ber);
+        let uncached = sweep.clone().cache(false).run_serial(&FastSim, &Ber);
         assert_eq!(cached.points.len(), uncached.points.len());
         for (c, u) in cached.points.iter().zip(&uncached.points) {
             assert_eq!(c.coords, u.coords);
@@ -841,7 +838,7 @@ mod tests {
 
     #[test]
     fn series_by_groups_and_averages() {
-        let results = ber_grid().threads(2).run(&FastSim, &Ber::default());
+        let results = ber_grid().threads(2).run(&FastSim, &Ber);
         let series = results.series_by(|v| v.scenario.ambient_at_tag.0, |v| v.scenario.distance_ft);
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].0, -30.0);
@@ -872,7 +869,7 @@ mod tests {
     fn empty_axes_run_single_base_point() {
         let base = Scenario::bench(-30.0, 4.0, ProgramKind::News)
             .with_workload(Workload::data(Bitrate::Bps100, 40));
-        let results = SweepBuilder::new(base).run(&FastSim, &Ber::default());
+        let results = SweepBuilder::new(base).run(&FastSim, &Ber);
         assert_eq!(results.points.len(), 1);
         assert!(results.mean() < 0.05);
     }

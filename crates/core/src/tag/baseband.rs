@@ -5,14 +5,13 @@
 //! * **overlay audio** — the payload audio itself, placed in the mono
 //!   band (§3.3, "to overlay audio we set FM_back(τ) to follow the
 //!   structure of the audio baseband signal");
-//! * **overlay data** — the FSK/FDM waveform of §3.4;
+//! * **overlay data** — the FSK/FDM waveform of §3.4, which
+//!   [`crate::modem::encoder::DataEncoder`] builds;
 //! * **stereo backscatter** — the payload DSB-SC-modulated onto 38 kHz,
 //!   with `0.9·FM_stereo + 0.1·pilot` when the host is mono (§3.3.1), or
 //!   no pilot when the host is a stereo station;
 //! * an optional **13 kHz cooperative-calibration preamble** (§3.3).
 
-use crate::modem::encoder::DataEncoder;
-use crate::modem::Bitrate;
 use crate::COOP_PILOT_HZ;
 use fmbs_dsp::resample::resample_linear;
 use fmbs_dsp::TAU;
@@ -44,11 +43,6 @@ impl BasebandBuilder {
             }
         }
         out
-    }
-
-    /// Overlay data: the FSK/FDM waveform for `bits`.
-    pub fn overlay_data(&self, bits: &[bool], bitrate: Bitrate) -> Vec<f64> {
-        DataEncoder::new(self.sample_rate, bitrate).encode(bits)
     }
 
     /// Stereo backscatter baseband: payload placed in the L−R band.
@@ -100,11 +94,6 @@ impl BasebandBuilder {
         }
         out
     }
-
-    /// Length in samples of the coop preamble for a duration.
-    pub fn coop_preamble_len(&self, duration_s: f64) -> usize {
-        (self.sample_rate * duration_s) as usize
-    }
 }
 
 #[cfg(test)]
@@ -126,14 +115,6 @@ mod tests {
         assert!((peak - 0.8).abs() < 0.01, "peak {peak}");
         let p = goertzel_power(&bb, FS, 440.0);
         assert!(p > 0.05, "tone power {p}");
-    }
-
-    #[test]
-    fn overlay_data_matches_direct_encoder() {
-        let bits = [true, false, true, true];
-        let via_builder = BasebandBuilder::new(48_000.0).overlay_data(&bits, Bitrate::Bps100);
-        let direct = DataEncoder::new(48_000.0, Bitrate::Bps100).encode(&bits);
-        assert_eq!(via_builder, direct);
     }
 
     #[test]
@@ -172,7 +153,7 @@ mod tests {
         let builder = BasebandBuilder::new(48_000.0);
         let payload = vec![0.5; 24_000];
         let out = builder.with_coop_pilot(&payload, 0.25, 0.1);
-        let n_pre = builder.coop_preamble_len(0.25);
+        let n_pre = (48_000.0 * 0.25) as usize;
         assert_eq!(out.len(), n_pre + payload.len());
         // Preamble: pure 13 kHz at 0.1.
         let p_pre = goertzel_power(&out[..n_pre], 48_000.0, COOP_PILOT_HZ);

@@ -33,16 +33,6 @@ pub fn goertzel_power(signal: &[f64], sample_rate: f64, freq: f64) -> f64 {
     power / (n as f64 * n as f64)
 }
 
-/// Computes Goertzel power for a set of frequencies over the same window.
-///
-/// Used by the FDM-4FSK receiver which monitors 16 candidate tones.
-pub fn goertzel_bank(signal: &[f64], sample_rate: f64, freqs: &[f64]) -> Vec<f64> {
-    freqs
-        .iter()
-        .map(|&f| goertzel_power(signal, sample_rate, f))
-        .collect()
-}
-
 /// A streaming Goertzel detector that can be fed sample-by-sample and
 /// queried at symbol boundaries. Equivalent to [`goertzel_power`] over the
 /// samples seen since the last [`StreamingGoertzel::reset`].
@@ -154,7 +144,7 @@ mod tests {
         // Paper's FDM-4FSK grid: 16 tones, 800 Hz spacing, 800..12800 Hz.
         let freqs: Vec<f64> = (1..=16).map(|k| 800.0 * k as f64).collect();
         let sig = tone(fs, 4_000.0, 240, 1.0); // 200 sym/s window
-        let bank = goertzel_bank(&sig, fs, &freqs);
+        let bank: Vec<f64> = freqs.iter().map(|&f| goertzel_power(&sig, fs, f)).collect();
         let argmax = bank
             .iter()
             .enumerate()

@@ -168,17 +168,6 @@ impl FirstOrder {
         }
     }
 
-    /// DC-blocking filter with pole radius `r` (e.g. 0.995).
-    pub fn dc_blocker(r: f64) -> Self {
-        FirstOrder {
-            b0: 1.0,
-            b1: -1.0,
-            a1: -r,
-            x1: 0.0,
-            y1: 0.0,
-        }
-    }
-
     /// A one-pole smoother with coefficient `alpha` in (0, 1]:
     /// `y[n] = α·x[n] + (1-α)·y[n-1]`. Used for envelope followers and the
     /// automatic gain control model.
@@ -302,18 +291,6 @@ mod tests {
             let g = pre.magnitude_at(fs, f) * de.magnitude_at(fs, f);
             assert!((g - 1.0).abs() < 0.06, "combined gain {g} at {f} Hz");
         }
-    }
-
-    #[test]
-    fn dc_blocker_removes_offset_keeps_tone() {
-        let fs = 48_000.0;
-        let mut dc = FirstOrder::dc_blocker(0.995);
-        let sig: Vec<f64> = tone(fs, 1_000.0, 48_000).iter().map(|x| x + 0.5).collect();
-        let out = dc.process(&sig);
-        let tail = &out[24_000..];
-        let mean: f64 = tail.iter().sum::<f64>() / tail.len() as f64;
-        assert!(mean.abs() < 1e-3);
-        assert!(steady_rms(&out) > 0.6);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Two oscillators matter to the system:
 //!
-//! * [`Nco`] — a sine/cosine phase accumulator used by FM modulators,
-//!   receiver mixers and pilot regeneration.
+//! * [`Nco`] — a sine/cosine phase accumulator used by the stereo pilot
+//!   generator and the receiver's tuning mixer.
 //! * [`SquareFmOscillator`] — the backscatter tag's digitally-controlled
 //!   oscillator. The paper approximates the cosine subcarrier of Eq. 2 with
 //!   a ±1 square wave, because a backscatter switch has exactly two states
@@ -16,13 +16,11 @@ use crate::complex::Complex;
 use crate::TAU;
 
 /// A sine/cosine numerically-controlled oscillator with a phase
-/// accumulator. Frequency can be retuned between samples without phase
-/// discontinuity.
+/// accumulator.
 #[derive(Debug, Clone)]
 pub struct Nco {
     phase: f64,
     phase_inc: f64,
-    sample_rate: f64,
 }
 
 impl Nco {
@@ -31,13 +29,7 @@ impl Nco {
         Nco {
             phase: 0.0,
             phase_inc: TAU * freq / sample_rate,
-            sample_rate,
         }
-    }
-
-    /// Retunes the oscillator (takes effect on the next sample).
-    pub fn set_frequency(&mut self, freq: f64) {
-        self.phase_inc = TAU * freq / self.sample_rate;
     }
 
     /// Current phase in radians, wrapped to `[0, 2π)`.
@@ -63,24 +55,6 @@ impl Nco {
     pub fn next_cos(&mut self) -> f64 {
         let out = self.phase.cos();
         self.advance();
-        out
-    }
-
-    /// Advances one sample and returns `sin(φ)`.
-    #[inline]
-    pub fn next_sin(&mut self) -> f64 {
-        let out = self.phase.sin();
-        self.advance();
-        out
-    }
-
-    /// Advances with an extra per-sample frequency offset `df` Hz — this is
-    /// how FM modulation is produced: `df` is `Δf · m(t)`.
-    #[inline]
-    pub fn next_iq_fm(&mut self, df: f64) -> Complex {
-        let out = Complex::from_angle(self.phase);
-        self.phase += self.phase_inc + TAU * df / self.sample_rate;
-        self.wrap();
         out
     }
 
@@ -229,18 +203,6 @@ mod tests {
             nco.next_cos();
             assert!(nco.phase() >= 0.0 && nco.phase() < TAU);
         }
-    }
-
-    #[test]
-    fn fm_modulated_nco_shifts_frequency() {
-        let fs = 1_000_000.0;
-        let mut nco = Nco::new(fs, 100_000.0);
-        // Constant m = +1 with df = 50 kHz => instantaneous 150 kHz.
-        let n = 100_000;
-        let sig: Vec<f64> = (0..n).map(|_| nco.next_iq_fm(50_000.0).re).collect();
-        let crossings = sig.windows(2).filter(|w| w[0] * w[1] < 0.0).count();
-        let measured = crossings as f64 / 2.0 * fs / n as f64;
-        assert!((measured - 150_000.0).abs() < 100.0, "measured {measured}");
     }
 
     #[test]

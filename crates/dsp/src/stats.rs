@@ -17,18 +17,6 @@ pub fn db_to_linear(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
-/// Converts an amplitude ratio to decibels (20·log10).
-#[inline]
-pub fn amplitude_to_db(ratio: f64) -> f64 {
-    20.0 * ratio.log10()
-}
-
-/// Converts decibels to an amplitude ratio.
-#[inline]
-pub fn db_to_amplitude(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -254,7 +242,6 @@ mod tests {
     fn db_round_trips() {
         for db in [-60.0, -3.0, 0.0, 10.0, 33.3] {
             assert!((linear_to_db(db_to_linear(db)) - db).abs() < 1e-12);
-            assert!((amplitude_to_db(db_to_amplitude(db)) - db).abs() < 1e-12);
         }
     }
 
@@ -262,7 +249,6 @@ mod tests {
     fn db_anchor_values() {
         assert!((linear_to_db(2.0) - 3.0103).abs() < 1e-3);
         assert!((db_to_linear(-30.0) - 0.001).abs() < 1e-12);
-        assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-12);
     }
 
     #[test]

@@ -39,13 +39,6 @@ impl Window {
             })
             .collect()
     }
-
-    /// Coherent gain: mean of the coefficients. Needed to undo the
-    /// amplitude loss a window introduces in tone measurements.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        let c = self.coefficients(n);
-        c.iter().sum::<f64>() / n.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -87,10 +80,12 @@ mod tests {
 
     #[test]
     fn coherent_gains_ordering() {
-        // Rectangular keeps all energy; others attenuate progressively.
-        let rect = Window::Rectangular.coherent_gain(256);
-        let hann = Window::Hann.coherent_gain(256);
-        let blackman = Window::Blackman.coherent_gain(256);
+        // Coherent gain (mean coefficient): rectangular keeps all
+        // energy; others attenuate progressively.
+        let gain = |w: Window| w.coefficients(256).iter().sum::<f64>() / 256.0;
+        let rect = gain(Window::Rectangular);
+        let hann = gain(Window::Hann);
+        let blackman = gain(Window::Blackman);
         assert!((rect - 1.0).abs() < 1e-12);
         assert!(hann < rect && blackman < hann);
         assert!((hann - 0.5).abs() < 0.01);

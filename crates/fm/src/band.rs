@@ -124,17 +124,6 @@ impl BandOccupancy {
             .map(|c| from.shift_to_hz(*c).abs())
             .min_by(|a, b| a.partial_cmp(b).unwrap())
     }
-
-    /// The free channel requiring the smallest |shift| from `from`,
-    /// breaking ties toward higher frequency (the paper's prototype shifts
-    /// upward, 94.9 → 95.3 MHz).
-    pub fn nearest_free_channel(&self, from: Channel) -> Option<Channel> {
-        self.free_channels().into_iter().min_by(|a, b| {
-            let da = from.shift_to_hz(*a).abs();
-            let db = from.shift_to_hz(*b).abs();
-            da.partial_cmp(&db).unwrap().then_with(|| b.0.cmp(&a.0)) // prefer higher frequency
-        })
-    }
 }
 
 #[cfg(test)]
@@ -204,18 +193,5 @@ mod tests {
     fn min_shift_on_full_band_is_none() {
         let b = BandOccupancy::from_channels(&Channel::all().collect::<Vec<_>>());
         assert_eq!(b.min_shift_hz(Channel(0)), None);
-        assert!(b.nearest_free_channel(Channel(0)).is_none());
-    }
-
-    #[test]
-    fn nearest_free_prefers_higher_frequency_on_tie() {
-        let mut b = BandOccupancy::empty();
-        // Occupy everything except 40 and 44; station at 42 ties (±400 kHz).
-        for ch in Channel::all() {
-            b.set_occupied(ch, true);
-        }
-        b.set_occupied(Channel(40), false);
-        b.set_occupied(Channel(44), false);
-        assert_eq!(b.nearest_free_channel(Channel(42)), Some(Channel(44)));
     }
 }

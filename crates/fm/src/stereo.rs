@@ -148,14 +148,6 @@ impl StereoDecoder {
     }
 }
 
-/// Removes the group-delay-free audio low-pass used above for standalone
-/// L−R extraction — convenience for the stereo-backscatter receiver, which
-/// only needs the difference signal.
-pub fn extract_difference(mpx: &[f64], sample_rate: f64) -> Vec<f64> {
-    let decoder = StereoDecoder::new(StereoDecoderConfig::new(sample_rate));
-    decoder.decode(mpx).difference
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,19 +247,5 @@ mod tests {
             .collect();
         let out = StereoDecoder::new(StereoDecoderConfig::new(FS)).decode(&mpx);
         assert!(!out.stereo_detected, "pilot level {}", out.pilot_level);
-    }
-
-    #[test]
-    fn extract_difference_matches_decoder() {
-        let n = 100_000;
-        let payload = tone(1_500.0, n, 0.6);
-        let l: Vec<f64> = payload.iter().map(|x| x / 2.0).collect();
-        let r: Vec<f64> = payload.iter().map(|x| -x / 2.0).collect();
-        let mpx = compose(&l, &r, MpxLevels::default());
-        let d1 = extract_difference(&mpx, FS);
-        let d2 = StereoDecoder::new(StereoDecoderConfig::new(FS))
-            .decode(&mpx)
-            .difference;
-        assert_eq!(d1, d2);
     }
 }

@@ -1448,7 +1448,10 @@ mod tests {
         assert_eq!(cfg.storage_uj, 12.0);
         assert_eq!(cfg.packet_bits, 512);
         assert!(!cfg.record_trace);
-        assert!(!d.build().expect("valid").is_metro(), "one receiver");
+        assert!(
+            d.build().expect("valid").topology().is_none(),
+            "one receiver"
+        );
     }
 
     fn trace_of(per_tag: Vec<Vec<(u64, u32)>>) -> Traffic {

@@ -148,7 +148,7 @@ impl BerTable {
                 .powers_dbm(spec.powers_dbm.iter().copied())
                 .distances_ft(spec.distances_ft.iter().copied())
                 .repeats(spec.repeats)
-                .run(sim, &Ber::default());
+                .run(sim, &Ber);
             let mut sums = vec![0.0; np * nd];
             let mut counts = vec![0usize; np * nd];
             for p in &results.points {
@@ -223,19 +223,6 @@ impl BerTable {
         let at = |p: usize, d: usize| plane[p * nd + d];
         (1.0 - tp) * ((1.0 - td) * at(p0, d0) + td * at(p0, d1))
             + tp * ((1.0 - td) * at(p1, d0) + td * at(p1, d1))
-    }
-
-    /// Probability a `bits`-long packet survives the link uncorrupted,
-    /// assuming independent bit errors at the interpolated BER.
-    pub fn packet_success_probability(
-        &self,
-        bitrate: Bitrate,
-        power_dbm: f64,
-        distance_ft: f64,
-        bits: u32,
-    ) -> f64 {
-        let ber = self.lookup(bitrate, power_dbm, distance_ft).clamp(0.0, 1.0);
-        (1.0 - ber).powi(bits as i32)
     }
 
     /// The bit rates this table was calibrated for.
@@ -541,15 +528,6 @@ mod tests {
             t.lookup(Bitrate::Kbps1_6, 0.0, 99.0),
             t.lookup(Bitrate::Kbps1_6, -40.0, 15.0)
         );
-    }
-
-    #[test]
-    fn packet_success_shrinks_with_length() {
-        let t = ramp_table();
-        let short = t.packet_success_probability(Bitrate::Kbps1_6, -40.0, 15.0, 16);
-        let long = t.packet_success_probability(Bitrate::Kbps1_6, -40.0, 15.0, 256);
-        assert!(short > long);
-        assert!((0.0..=1.0).contains(&long));
     }
 
     #[test]

@@ -330,13 +330,6 @@ pub struct MetroTopology {
     pub peers: Vec<Vec<Vec<(usize, u16)>>>,
 }
 
-impl MetroTopology {
-    /// Total co-channel contention edges (for diagnostics and tests).
-    pub fn peer_edges(&self) -> usize {
-        self.peers.iter().flat_map(|d| d.iter()).map(Vec::len).sum()
-    }
-}
-
 /// A validated, compiled deployment: the single-receiver core config
 /// plus (for multi-receiver plans) the sharded metro topology.
 #[derive(Debug, Clone)]
@@ -353,11 +346,6 @@ impl CityPlan {
     /// plan runs exactly this as one collision domain.
     pub fn network_config(&self) -> &NetworkConfig {
         &self.cfg
-    }
-
-    /// Whether this plan shards across multiple receiver cells.
-    pub fn is_metro(&self) -> bool {
-        self.topology.is_some()
     }
 
     /// The compiled collision domains (empty for single-receiver plans).

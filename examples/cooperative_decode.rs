@@ -34,12 +34,12 @@ fn main() {
             // Overlay: one phone hears host + payload speech.
             let overlay =
                 scenario.with_workload(Workload::speech(2.5).with_payload_seed(seed ^ 0xBEEF));
-            let overlay = Pesq::default().evaluate(&FastSim, &overlay);
+            let overlay = Pesq.evaluate(&FastSim, &overlay);
             // Cooperative: the same speech behind a 13 kHz calibration
             // pilot, decoded from both phones.
             let coop =
                 scenario.with_workload(Workload::coop_audio(2.5).with_payload_seed(seed ^ 0xC0));
-            let coop = CoopPesq::default().evaluate(&FastSim, &coop);
+            let coop = CoopPesq.evaluate(&FastSim, &coop);
             println!("{p:>8} {d:>10} {overlay:>12.2} {coop:>12.2}");
         }
     }

@@ -93,7 +93,7 @@ fn main() {
                 Workload::data(rate, n_bits).with_payload_seed(scenario.seed ^ 0xDA7A),
             )
         };
-        let ber100 = Ber::default().evaluate(&FastSim, &data(Bitrate::Bps100, 200));
+        let ber100 = Ber.evaluate(&FastSim, &data(Bitrate::Bps100, 200));
         let ber1600 = BerMrc::new(2).evaluate(&FastSim, &data(Bitrate::Kbps1_6, 400));
         println!("  raw BER:  100 bps {ber100:.4}   1.6 kbps w/ 2x MRC {ber1600:.4}\n");
     }

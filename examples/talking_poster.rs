@@ -52,7 +52,7 @@ fn main() {
     // --- audio: a music snippet over the news programme ----------------
     let clip =
         scenario.with_workload(Workload::speech(3.0).with_payload_seed(scenario.seed ^ 0xBEEF));
-    let score = Pesq::default().evaluate(&FastSim, &clip);
+    let score = Pesq.evaluate(&FastSim, &clip);
     println!("\nposter overlays a 3 s audio clip on the ambient news station");
     println!("PESQ-like score of the received composite: {score:.2}");
     println!("(the paper's overlay operating point is ~2: clearly audible payload)");

@@ -107,7 +107,7 @@ fn tiers_agree_on_ber_across_held_out_scenarios() {
         let s = Scenario::bench(p, d, ProgramKind::News)
             .with_seed(0x7157)
             .with_workload(Workload::data(Bitrate::Kbps1_6, 128));
-        Ber::default().evaluate(sim, &s)
+        Ber.evaluate(sim, &s)
     };
     let physical = Tier::Physical.simulator();
     let working = [
@@ -146,7 +146,7 @@ fn all_genres_carry_data() {
     for genre in ProgramKind::BROADCAST_GENRES {
         let s = Scenario::bench(-30.0, 6.0, genre)
             .with_workload(Workload::data(Bitrate::Bps100, 300).with_payload_seed(5));
-        let ber = Ber::default().evaluate(&FastSim, &s);
+        let ber = Ber.evaluate(&FastSim, &s);
         assert!(ber < 0.02, "{genre:?}: BER {ber}");
     }
 }
@@ -194,7 +194,7 @@ fn capability_ranking_matches_paper() {
     let scenario = Scenario::bench(-25.0, 6.0, ProgramKind::News);
     let seed = scenario.seed;
     let overlay = scenario.with_workload(Workload::speech(2.5).with_payload_seed(seed ^ 0xBEEF));
-    let overlay = Pesq::default().evaluate(&FastSim, &overlay);
+    let overlay = Pesq.evaluate(&FastSim, &overlay);
     let stereo =
         scenario.with_workload(Workload::stereo_speech(2.5).with_payload_seed(seed ^ 0x5A5A));
     assert_eq!(
@@ -202,9 +202,9 @@ fn capability_ranking_matches_paper() {
         1.0,
         "pilot detected at -25 dBm"
     );
-    let stereo = Pesq::default().evaluate(&FastSim, &stereo);
+    let stereo = Pesq.evaluate(&FastSim, &stereo);
     let coop = scenario.with_workload(Workload::coop_audio(2.5).with_payload_seed(seed ^ 0xC0));
-    let coop = CoopPesq::default().evaluate(&FastSim, &coop);
+    let coop = CoopPesq.evaluate(&FastSim, &coop);
     assert!(
         stereo > overlay,
         "stereo {stereo:.2} must beat overlay {overlay:.2}"

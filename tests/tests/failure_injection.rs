@@ -86,7 +86,7 @@ fn degenerate_audio_is_handled() {
 fn dead_link_yields_chance_level_ber() {
     let s = Scenario::bench(-60.0, 20.0, ProgramKind::RockMusic)
         .with_workload(Workload::data(Bitrate::Kbps3_2, 400).with_payload_seed(3));
-    let ber = Ber::default().evaluate(&FastSim, &s);
+    let ber = Ber.evaluate(&FastSim, &s);
     assert!(ber > 0.2, "dead link BER {ber} is implausibly low");
 }
 

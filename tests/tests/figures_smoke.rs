@@ -15,7 +15,7 @@ fn overlay_data(s: Scenario, bitrate: Bitrate, n_bits: usize) -> Scenario {
 }
 
 fn overlay_ber(s: Scenario, bitrate: Bitrate, n_bits: usize) -> f64 {
-    Ber::default().evaluate(&FastSim, &overlay_data(s, bitrate, n_bits))
+    Ber.evaluate(&FastSim, &overlay_data(s, bitrate, n_bits))
 }
 
 #[test]

@@ -20,7 +20,7 @@ fn direct_ber(power_dbm: f64, distance_ft: f64, bits: usize, repeats: usize) -> 
         .with_workload(Workload::data(Bitrate::Kbps1_6, bits));
     SweepBuilder::new(base)
         .repeats(repeats)
-        .run(&FastSim, &Ber::default())
+        .run(&FastSim, &Ber)
         .mean()
 }
 
@@ -95,7 +95,7 @@ fn physical_link_table_matches_physical_sim_on_held_out_points() {
             .with_workload(Workload::data(Bitrate::Kbps1_6, 128));
         let direct = SweepBuilder::new(base)
             .repeats(1)
-            .run(Tier::Physical.simulator(), &Ber::default())
+            .run(Tier::Physical.simulator(), &Ber)
             .mean();
         let interpolated = table.lookup(Bitrate::Kbps1_6, p, d);
         assert!(

@@ -271,8 +271,8 @@ proptest! {
             .powers_dbm((0..n_powers).map(|i| -30.0 - 10.0 * i as f64))
             .distances_ft((0..n_dists).map(|i| 4.0 + 6.0 * i as f64))
             .repeats(repeats);
-        let serial = sweep.run_serial(&FastSim, &Ber::default());
-        let parallel = sweep.clone().threads(threads).run(&FastSim, &Ber::default());
+        let serial = sweep.run_serial(&FastSim, &Ber);
+        let parallel = sweep.clone().threads(threads).run(&FastSim, &Ber);
         prop_assert_eq!(serial.points.len(), n_powers * n_dists * repeats);
         for (s, p) in serial.points.iter().zip(&parallel.points) {
             prop_assert_eq!(s.value.to_bits(), p.value.to_bits());
@@ -300,14 +300,14 @@ proptest! {
         let sweep = SweepBuilder::new(base)
             .powers_dbm((0..n_powers).map(|i| -30.0 - 10.0 * i as f64))
             .repeats(repeats);
-        let plain_serial = sweep.run_serial(&FastSim, &Ber::default());
-        let plain_parallel = sweep.clone().threads(threads).run(&FastSim, &Ber::default());
+        let plain_serial = sweep.run_serial(&FastSim, &Ber);
+        let plain_parallel = sweep.clone().threads(threads).run(&FastSim, &Ber);
         let obs = fmbs_obs::Collector::with_spans(1 << 14);
         let (prof_serial, prof_parallel) = {
             let _g = fmbs_obs::install(Some(obs.clone()));
             (
-                sweep.run_serial(&FastSim, &Ber::default()),
-                sweep.clone().threads(threads).run(&FastSim, &Ber::default()),
+                sweep.run_serial(&FastSim, &Ber),
+                sweep.clone().threads(threads).run(&FastSim, &Ber),
             )
         };
         for (a, b) in plain_serial.points.iter().zip(&prof_serial.points) {
@@ -845,7 +845,7 @@ proptest! {
         prop_assert!(plan.is_ok(), "{:?}", plan.err());
         let plan = plan.unwrap();
         if nx * ny == 1 {
-            prop_assert!(!plan.is_metro());
+            prop_assert!(plan.topology().is_none());
         } else {
             prop_assert_eq!(plan.domains().len(), nx * ny);
             let mut owners = vec![0u32; n_tags];
