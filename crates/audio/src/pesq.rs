@@ -24,7 +24,7 @@
 //! interference level, which holds by construction.
 
 use fmbs_dsp::corr::find_lag;
-use fmbs_dsp::fft::power_spectrum;
+use fmbs_dsp::fft::{power_spectrum_with, Fft};
 use fmbs_dsp::stats::rms;
 use fmbs_dsp::windows::Window;
 
@@ -94,6 +94,7 @@ pub fn disturbance(reference: &[f64], degraded: &[f64], sample_rate: f64) -> f64
     // --- 3. Bark-spectral disturbance ------------------------------------
     let frame = ((sample_rate * FRAME_S) as usize).next_power_of_two();
     let hop = frame / 2;
+    let fft = Fft::new(frame);
     let window = Window::Hann.coefficients(frame);
     // Precompute bin→band mapping.
     let n_bins = frame / 2 + 1;
@@ -107,7 +108,7 @@ pub fn disturbance(reference: &[f64], degraded: &[f64], sample_rate: f64) -> f64
 
     let band_powers = |seg: &[f64], scale: f64| -> [f64; N_BANDS] {
         let scaled: Vec<f64> = seg.iter().map(|x| x * scale).collect();
-        let spec = power_spectrum(&scaled, &window, frame);
+        let spec = power_spectrum_with(&fft, &scaled, &window);
         let mut bands = [0.0; N_BANDS];
         for (k, &p) in spec.iter().enumerate() {
             bands[band_of[k]] += p;

@@ -1,6 +1,7 @@
 //! `repro` command-line failure handling: misspelled or inapplicable
 //! tiers, fault kinds and figure ids exit 2 with a typed message and
-//! near-miss suggestions — never a panic, never a silent fallback run.
+//! near-miss suggestions — never a panic, never a silent fallback run;
+//! `--profile` names the stages a figure's time goes to.
 //! Cargo builds the `repro` binary for this package's integration tests
 //! and names it in `CARGO_BIN_EXE_repro`.
 
@@ -170,4 +171,33 @@ fn repro_json_dir_is_created_up_front() {
     assert_eq!(code, Some(0), "stderr: {stderr}");
     assert!(dir.join("fig4a.json").is_file(), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `repro --profile fig12` books the cooperative decoder's upsampling and
+/// lag search and the PESQ scoring to their own stages instead of leaving
+/// them all in `sweep_point` self-time.
+#[test]
+fn repro_profile_fig12_names_coop_and_pesq_stages() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--profile", "fig12"])
+        .output()
+        .expect("spawn repro");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for stage in [
+        fmbs_obs::stages::COOP_UPSAMPLE,
+        fmbs_obs::stages::COOP_LAG_SEARCH,
+        fmbs_obs::stages::PESQ,
+    ] {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(stage)),
+            "no `{stage}` row in:\n{stdout}"
+        );
+    }
 }

@@ -67,12 +67,6 @@ impl AwgnSource {
         )
     }
 
-    /// One real noise sample with the full configured power.
-    #[inline]
-    pub fn next_real(&mut self) -> f64 {
-        self.gaussian() * self.sigma_per_component * std::f64::consts::SQRT_2
-    }
-
     /// Adds noise to an IQ buffer in place.
     pub fn corrupt(&mut self, iq: &mut [Complex]) {
         for z in iq.iter_mut() {
@@ -138,13 +132,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_complex(), b.next_complex());
         }
-    }
-
-    #[test]
-    fn real_noise_has_full_power() {
-        let mut src = AwgnSource::new(0.04, 5);
-        let n = 200_000;
-        let p: f64 = (0..n).map(|_| src.next_real().powi(2)).sum::<f64>() / n as f64;
-        assert!((p - 0.04).abs() < 0.004, "real noise power {p}");
     }
 }

@@ -70,10 +70,12 @@ impl CooperativeDecoder {
     /// Decodes the backscatter payload from the two phones' audio.
     pub fn decode(&self, phone1: &[f64], phone2: &[f64]) -> CoopResult {
         // 1. Resample both by 10 (§3.3).
-        let mut up1 = Upsampler::new(RESAMPLE_FACTOR, 8);
-        let mut up2 = Upsampler::new(RESAMPLE_FACTOR, 8);
-        let s1 = up1.process(phone1);
-        let s2 = up2.process(phone2);
+        let (s1, s2) = {
+            fmbs_obs::span!(fmbs_obs::stages::COOP_UPSAMPLE);
+            let mut up1 = Upsampler::new(RESAMPLE_FACTOR, 8);
+            let mut up2 = Upsampler::new(RESAMPLE_FACTOR, 8);
+            (up1.process(phone1), up2.process(phone2))
+        };
 
         // 2. Time-align via cross-correlation on a bounded window. Use a
         //    prefix segment for the search to bound cost.
@@ -82,7 +84,10 @@ impl CooperativeDecoder {
         let search_len = (s1.len().min(s2.len())).min(
             (self.sample_rate as usize) * RESAMPLE_FACTOR, // 1 s of upsampled audio
         );
-        let lag = find_lag(&s1[..search_len], &s2[..search_len], max_lag);
+        let lag = {
+            fmbs_obs::span!(fmbs_obs::stages::COOP_LAG_SEARCH);
+            find_lag(&s1[..search_len], &s2[..search_len], max_lag)
+        };
 
         // 3. Overlap the aligned region: s2 delayed by `lag` relative to s1
         //    means s2[i + lag] lines up with s1[i].

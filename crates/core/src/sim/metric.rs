@@ -175,7 +175,7 @@ impl Metric for Pesq {
     fn evaluate(&self, sim: &dyn Simulator, scenario: &Scenario) -> f64 {
         let out = sim.run(scenario);
         if !scenario.workload.stereo_band() {
-            return pesq_like(&out.payload_ref, &out.mono, out.sample_rate);
+            return scored_pesq(&out.payload_ref, &out.mono, out.sample_rate);
         }
         if !out.pilot_detected {
             return PILOT_LOST_PESQ;
@@ -186,8 +186,14 @@ impl Metric for Pesq {
             .iter()
             .map(|x| x / STEREO_PAYLOAD_GAIN)
             .collect();
-        pesq_like(&out.payload_ref, &recovered, out.sample_rate)
+        scored_pesq(&out.payload_ref, &recovered, out.sample_rate)
     }
+}
+
+/// [`pesq_like`] booked to the `pesq` profiler stage.
+fn scored_pesq(reference: &[f64], degraded: &[f64], sample_rate: f64) -> f64 {
+    fmbs_obs::span!(fmbs_obs::stages::PESQ);
+    pesq_like(reference, degraded, sample_rate)
 }
 
 /// Simulated start delay of phone 2 relative to phone 1, in seconds (the
@@ -239,7 +245,7 @@ impl Metric for CoopPesq {
         // notches it out of the played-back audio.
         let mut notch = fmbs_dsp::iir::Biquad::notch(rate, crate::COOP_PILOT_HZ, 4.0);
         let cleaned = notch.process(&result.payload[skip..]);
-        pesq_like(&out.payload_ref, &cleaned, rate)
+        scored_pesq(&out.payload_ref, &cleaned, rate)
     }
 }
 

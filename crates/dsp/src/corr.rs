@@ -4,6 +4,14 @@
 //! receivers by cross-correlating their (10×-resampled) audio outputs. The
 //! functions here implement that: an FFT-accelerated cross-correlation over
 //! a bounded lag window and a peak-picking lag estimator.
+//!
+//! The FFT path is exact over the searched window, not over every lag: it
+//! zero-pads to `n = (max(len) + max_lag + 1).next_power_of_two()`, which
+//! is enough that no lag in `[-max_lag, +max_lag]` wraps onto another lag
+//! the inputs produce. Both real inputs share one complex buffer (`a` in
+//! the real part, `b` in the imaginary part), so a search costs one
+//! forward and one inverse `n`-point transform and holds one `n`-point
+//! buffer.
 
 use crate::complex::Complex;
 use crate::fft::Fft;
@@ -19,11 +27,13 @@ pub fn cross_correlate(a: &[f64], b: &[f64], max_lag: usize) -> Vec<f64> {
         return vec![0.0; 2 * max_lag + 1];
     }
     let work = a.len().min(b.len());
-    // Direct method costs work · (2·max_lag+1); FFT costs ~3·N·log N with
-    // N ≈ 2·work. Pick whichever is cheaper.
+    // Direct method costs work · (2·max_lag+1); the FFT path runs two
+    // N-point transforms, ~2·N·log N, with N the padded size
+    // (max(len) + max_lag + 1) rounded up to a power of two. Pick
+    // whichever is cheaper.
     let direct_cost = work as f64 * (2 * max_lag + 1) as f64;
-    let n_fft = (a.len() + b.len()).next_power_of_two();
-    let fft_cost = 3.0 * n_fft as f64 * (n_fft as f64).log2();
+    let n_fft = fft_size(a.len(), b.len(), max_lag);
+    let fft_cost = 2.0 * n_fft as f64 * (n_fft as f64).log2();
     if direct_cost <= fft_cost {
         cross_correlate_direct(a, b, max_lag)
     } else {
@@ -49,34 +59,53 @@ pub fn cross_correlate_direct(a: &[f64], b: &[f64], max_lag: usize) -> Vec<f64> 
     out
 }
 
+/// The FFT size [`cross_correlate_fft`] pads to. The linear correlation
+/// is non-zero for lags in `[-(a.len()-1), b.len()-1]`; at `n >
+/// max(len) + max_lag` the circular copies of those lags all fall outside
+/// `[-max_lag, +max_lag]`.
+fn fft_size(a_len: usize, b_len: usize, max_lag: usize) -> usize {
+    (a_len.max(b_len) + max_lag + 1).next_power_of_two()
+}
+
 /// FFT-accelerated cross-correlation, mathematically identical to the
 /// direct method up to floating-point rounding.
+///
+/// Packs `z = a + i·b` into one buffer and runs one forward FFT. Because
+/// `a` and `b` are real, their spectra separate by Hermitian symmetry,
+/// `A[k] = (Z[k] + Z*[n−k])/2` and `B[k] = (Z[k] − Z*[n−k])/2i`, and the
+/// correlation spectrum `A·B*` is itself Hermitian. Each `(k, n−k)` pair
+/// is therefore overwritten in place with `P[k] = A[k]·B*[k]` and
+/// `P[n−k] = P*[k]` before one inverse FFT.
 pub fn cross_correlate_fft(a: &[f64], b: &[f64], max_lag: usize) -> Vec<f64> {
-    let n = (a.len() + b.len()).next_power_of_two();
+    let n = fft_size(a.len(), b.len(), max_lag);
     let fft = Fft::new(n);
-    let mut fa = vec![Complex::ZERO; n];
-    let mut fb = vec![Complex::ZERO; n];
-    for (i, &x) in a.iter().enumerate() {
-        fa[i] = Complex::new(x, 0.0);
+    let mut z = vec![Complex::ZERO; n];
+    for (zi, &x) in z.iter_mut().zip(a) {
+        zi.re = x;
     }
-    for (i, &x) in b.iter().enumerate() {
-        fb[i] = Complex::new(x, 0.0);
+    for (zi, &y) in z.iter_mut().zip(b) {
+        zi.im = y;
     }
-    fft.forward(&mut fa);
-    fft.forward(&mut fb);
-    for (x, y) in fa.iter_mut().zip(fb.iter()) {
-        *x *= y.conj();
+    fft.forward(&mut z);
+    for k in 0..=n / 2 {
+        let m = (n - k) % n;
+        let zk = z[k];
+        let zm = z[m].conj();
+        let spec_a = (zk + zm).scale(0.5);
+        // (zk − zm)/2i = −i·(zk − zm)/2.
+        let d = zk - zm;
+        let spec_b = Complex::new(d.im, -d.re).scale(0.5);
+        let p = spec_a * spec_b.conj();
+        z[k] = p;
+        z[m] = p.conj();
     }
-    fft.inverse(&mut fa);
-    // With F(a)·conj(F(b)), the inverse at circular index k equals
+    fft.inverse(&mut z);
+    // With A·conj(B), the inverse at circular index k equals
     // Σ_i a[i]·b[i-k]. Our convention is corr(lag) = Σ_i a[i]·b[i+lag],
     // which is circular index (-lag) mod n.
-    let mut out = Vec::with_capacity(2 * max_lag + 1);
-    for lag in -(max_lag as isize)..=(max_lag as isize) {
-        let idx = (-lag).rem_euclid(n as isize) as usize;
-        out.push(fa[idx].re);
-    }
-    out
+    (-(max_lag as isize)..=(max_lag as isize))
+        .map(|lag| z[(-lag).rem_euclid(n as isize) as usize].re)
+        .collect()
 }
 
 /// Finds the lag (in samples) that best aligns `b` to `a`, searching

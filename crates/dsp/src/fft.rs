@@ -5,6 +5,12 @@
 //! FFT-based cross-correlation in the cooperative decoder. Sizes are always
 //! powers of two; [`Fft::new`] panics otherwise so misuse fails loudly at
 //! construction rather than silently corrupting spectra.
+//!
+//! Planning an [`Fft`] costs about as much as running it, so a caller
+//! that takes many spectra of one size plans once and passes the plan to
+//! [`power_spectrum_with`] ([`welch_psd`] does this per call). Plans are
+//! deterministic: a reused plan gives bit-identical spectra to a fresh
+//! one.
 
 use crate::complex::Complex;
 use crate::TAU;
@@ -130,13 +136,14 @@ impl Fft {
 /// linear (not dB) and normalised so that a full-scale sine at a bin centre
 /// measures ~0.25·(window gain)² regardless of `n`.
 pub fn power_spectrum(signal: &[f64], window: &[f64], n: usize) -> Vec<f64> {
-    assert!(n.is_power_of_two(), "spectrum size must be a power of two");
-    assert_eq!(
-        window.len(),
-        n.min(window.len()),
-        "window shorter than n is allowed"
-    );
-    let fft = Fft::new(n);
+    power_spectrum_with(&Fft::new(n), signal, window)
+}
+
+/// [`power_spectrum`] at the size of a caller-held plan `fft`, for callers
+/// that take many spectra of one size.
+pub fn power_spectrum_with(fft: &Fft, signal: &[f64], window: &[f64]) -> Vec<f64> {
+    let n = fft.len();
+    assert!(window.len() <= n, "window longer than the spectrum size");
     let mut buf = vec![Complex::ZERO; n];
     for i in 0..n.min(signal.len()) {
         let w = if i < window.len() { window[i] } else { 0.0 };
@@ -154,13 +161,14 @@ pub fn power_spectrum(signal: &[f64], window: &[f64], n: usize) -> Vec<f64> {
 /// captures without the variance of a single FFT.
 pub fn welch_psd(signal: &[f64], n: usize) -> Vec<f64> {
     assert!(n.is_power_of_two(), "segment size must be a power of two");
+    let fft = Fft::new(n);
     let window = crate::windows::Window::Hann.coefficients(n);
     let hop = n / 2;
     let mut acc = vec![0.0; n / 2 + 1];
     let mut count = 0usize;
     let mut start = 0usize;
     while start + n <= signal.len() {
-        let seg = power_spectrum(&signal[start..start + n], &window, n);
+        let seg = power_spectrum_with(&fft, &signal[start..start + n], &window);
         for (a, s) in acc.iter_mut().zip(seg.iter()) {
             *a += s;
         }
@@ -169,7 +177,7 @@ pub fn welch_psd(signal: &[f64], n: usize) -> Vec<f64> {
     }
     if count == 0 {
         // Too short for even one segment: fall back to a single padded FFT.
-        return power_spectrum(signal, &window, n);
+        return power_spectrum_with(&fft, signal, &window);
     }
     for a in acc.iter_mut() {
         *a /= count as f64;
@@ -319,6 +327,32 @@ mod tests {
         let ratio = low / high;
         // Amplitude ratio 10 => power ratio 100.
         assert!(ratio > 50.0 && ratio < 200.0, "ratio {ratio}");
+    }
+
+    #[test]
+    fn welch_plan_reuse_is_bit_identical() {
+        // welch_psd plans once per call; a fresh plan per segment must give
+        // the same bits.
+        let n = 256;
+        let signal: Vec<f64> = (0..5 * n / 2 + 37)
+            .map(|i| (i as f64 * 0.013).sin() + 0.3 * (i as f64 * 0.71).cos())
+            .collect();
+        let window = Window::Hann.coefficients(n);
+        let mut acc = vec![0.0; n / 2 + 1];
+        let mut count = 0usize;
+        for start in (0..).step_by(n / 2).take_while(|s| s + n <= signal.len()) {
+            let seg = power_spectrum(&signal[start..start + n], &window, n);
+            for (a, s) in acc.iter_mut().zip(&seg) {
+                *a += s;
+            }
+            count += 1;
+        }
+        assert_eq!(count, 4);
+        let welch = welch_psd(&signal, n);
+        assert_eq!(welch.len(), acc.len());
+        for (w, a) in welch.iter().zip(&acc) {
+            assert_eq!(w.to_bits(), (a / count as f64).to_bits());
+        }
     }
 
     #[test]

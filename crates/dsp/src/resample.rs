@@ -85,9 +85,16 @@ impl Upsampler {
 
     /// Pushes one input sample and returns `factor` output samples.
     pub fn push(&mut self, x: f64) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.factor);
+        self.push_into(x, &mut out);
+        out
+    }
+
+    /// Pushes one input sample and appends its `factor` output samples to
+    /// `out`.
+    fn push_into(&mut self, x: f64, out: &mut Vec<f64>) {
         let n = self.delay.len();
         self.delay[self.pos] = x;
-        let mut out = Vec::with_capacity(self.factor);
         for branch in &self.branches {
             let mut acc = 0.0;
             let mut idx = self.pos;
@@ -98,7 +105,6 @@ impl Upsampler {
             out.push(acc);
         }
         self.pos = (self.pos + 1) % n;
-        out
     }
 
     /// Upsamples an entire buffer, returning `input.len() · factor`
@@ -107,7 +113,7 @@ impl Upsampler {
         self.reset();
         let mut out = Vec::with_capacity(input.len() * self.factor);
         for &x in input {
-            out.extend(self.push(x));
+            self.push_into(x, &mut out);
         }
         out
     }
@@ -224,6 +230,20 @@ mod tests {
         assert!((measured - 1_000.0).abs() < 25.0, "measured {measured}");
         // Amplitude preserved (within filter ripple).
         assert!((steady_rms(&out) - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.05);
+    }
+
+    #[test]
+    fn upsampler_process_equals_concatenated_pushes() {
+        let sig = tone(48_000.0, 1_000.0, 500);
+        let mut up = Upsampler::new(10, 8);
+        let pushed: Vec<u64> = sig
+            .iter()
+            .flat_map(|&x| up.push(x))
+            .map(f64::to_bits)
+            .collect();
+        // `process` resets first, so it sees the same fresh state.
+        let processed: Vec<u64> = up.process(&sig).into_iter().map(f64::to_bits).collect();
+        assert_eq!(processed, pushed);
     }
 
     #[test]

@@ -106,6 +106,12 @@ pub mod stages {
     pub const FAULT_SCHEDULE: &str = "fault_schedule";
     /// Workload arrival-trace generation.
     pub const TRACE_GEN: &str = "workload_trace_gen";
+    /// The cooperative decoder's ×10 upsampling of both phones' audio.
+    pub const COOP_UPSAMPLE: &str = "coop_upsample";
+    /// The cooperative decoder's cross-correlation lag search.
+    pub const COOP_LAG_SEARCH: &str = "coop_lag_search";
+    /// One PESQ-like score (time alignment, Bark-spectral disturbance).
+    pub const PESQ: &str = "pesq";
     /// One Fig. 5 programme window: synthesis, MPX composition and the
     /// band-power PSD.
     pub const STEREO_WINDOW: &str = "stereo_util_window";

@@ -221,6 +221,69 @@ proptest! {
         }
     }
 
+    /// The FFT lag search is exact over its window. `b` carries `base`
+    /// delayed by a planted `shift` of either sign (`a` carries it when
+    /// the shift is negative); both have independent low-level lead-in and
+    /// tail noise of unequal lengths, and `max_lag` reaches `min(len) − 1`.
+    /// With `edge`, the longer signal is stretched so that
+    /// `max(len) + max_lag + 1` is exactly the padded FFT size, the tightest
+    /// size the search may use. The FFT correlation then matches the
+    /// direct sum within 1e-9 of `‖a‖·‖b‖` (which bounds every lag), its
+    /// argmax is the direct argmax, and `find_lag` finds the plant.
+    #[test]
+    fn fft_lag_search_matches_direct(
+        base in prop::collection::vec(-1.0f64..1.0, 128..600),
+        shift in -100isize..=100,
+        tail_a in 0usize..200,
+        tail_b in 0usize..200,
+        lag_pick in any::<prop::sample::Index>(),
+        edge in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use fmbs_dsp::corr::{cross_correlate_direct, cross_correlate_fft, find_lag};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut noise = |n: usize| -> Vec<f64> {
+            (0..n).map(|_| 0.05 * rng.gen_range(-1.0..1.0)).collect()
+        };
+        let (lead_a, lead_b) = if shift >= 0 { (0, shift as usize) } else { ((-shift) as usize, 0) };
+        let mut a = noise(lead_a);
+        a.extend_from_slice(&base);
+        a.extend(noise(tail_a));
+        let mut b = noise(lead_b);
+        b.extend_from_slice(&base);
+        b.extend(noise(tail_b));
+        let lo = shift.unsigned_abs();
+        let max_lag = lo + lag_pick.index(a.len().min(b.len()) - lo);
+        if edge {
+            let longer = if a.len() >= b.len() { &mut a } else { &mut b };
+            let exact = longer.len() + max_lag + 1;
+            longer.extend(noise(exact.next_power_of_two() - exact));
+        }
+        prop_assert!(max_lag < a.len().min(b.len()));
+
+        let direct = cross_correlate_direct(&a, &b, max_lag);
+        let fft = cross_correlate_fft(&a, &b, max_lag);
+        prop_assert_eq!(direct.len(), fft.len());
+        let norm = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let tol = 1e-9 * norm(&a) * norm(&b);
+        for (d, f) in direct.iter().zip(&fft) {
+            prop_assert!((d - f).abs() <= tol, "direct {} vs fft {} (tol {})", d, f, tol);
+        }
+        // The same tie rule as `find_lag`: the last maximum wins.
+        let argmax = |c: &[f64]| {
+            c.iter()
+                .enumerate()
+                .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
+                .unwrap()
+                .0 as isize
+                - max_lag as isize
+        };
+        prop_assert_eq!(argmax(&fft), argmax(&direct));
+        prop_assert_eq!(argmax(&direct), shift);
+        prop_assert_eq!(find_lag(&a, &b, max_lag), shift);
+    }
+
     /// Slotted Aloha (§8): outcome counts always account for every
     /// slot, same-seed runs are identical, and measured throughput
     /// never beats the theoretical `N·p·(1−p)^{N−1}` bound by more than
